@@ -1,11 +1,12 @@
 // Differential soak run: random queries cross-checked along every axis the
 // library offers —
 //   * optimizer policies (ECA / TBA / CBA, basic and enhanced enumeration)
-//   * both engines (materializing hash, sort-merge) and the pull engine
+//   * the executor's hash and sort-merge paths, and the naive reference
+//     interpreter (ExecuteNaive)
 //   * every realizable ordering of each query
 // Every produced plan must evaluate to the same multiset as the query as
-// written. This is the capstone end-to-end validation; run it with a large
-// query count for soak testing.
+// written, evaluated by ExecuteNaive. This is the capstone end-to-end
+// validation; run it with a large query count for soak testing.
 //
 // Usage: bench_differential [queries] [max_rels] [check_all_orderings 0/1]
 
@@ -16,7 +17,7 @@
 #include "enumerate/enumerator.h"
 #include "enumerate/join_order.h"
 #include "enumerate/realize.h"
-#include "exec/iterator_exec.h"
+#include "exec/executor.h"
 #include "testing/random_data.h"
 #include "testing/random_query.h"
 
@@ -35,9 +36,7 @@ int Run(int queries, int max_rels, bool all_orderings) {
     qopts.tolerant_pred_prob = seed % 5 == 0 ? 0.4 : 0.0;
     Database db = RandomDatabase(rng, qopts.num_rels, dopts);
     PlanPtr query = RandomQuery(rng, qopts, dopts);
-    Executor reference_engine;
-    Relation reference =
-        CanonicalizeColumnOrder(reference_engine.Execute(*query, db));
+    Relation reference = CanonicalizeColumnOrder(ExecuteNaive(*query, db));
 
     auto check = [&](const Plan& plan, const char* what) {
       // Materializing hash engine.
@@ -61,12 +60,12 @@ int Run(int queries, int max_rels, bool all_orderings) {
         std::printf("!! %s (sort-merge) wrong on seed %d\n", what, seed);
         return;
       }
-      // Pull engine.
+      // Naive reference interpreter.
       ++plans_checked;
       if (!SameMultiset(reference,
-                        CanonicalizeColumnOrder(ExecutePull(plan, db)))) {
+                        CanonicalizeColumnOrder(ExecuteNaive(plan, db)))) {
         ++failures;
-        std::printf("!! %s (pull) wrong on seed %d\n", what, seed);
+        std::printf("!! %s (naive) wrong on seed %d\n", what, seed);
       }
     };
 

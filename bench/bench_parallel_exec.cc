@@ -7,7 +7,7 @@
 //
 // Every multi-threaded result is checked byte-for-byte (rows AND order)
 // against the single-threaded run before any timing is reported — a speedup
-// on wrong or reordered output would be meaningless. Timings and partition
+// on wrong or reordered output would be meaningless. Timings and build
 // stats go to FILE (default BENCH_exec.json); the speedup column reports
 // t(1 thread) / t(N threads) on this machine, so expect ~1.0x on a
 // single-core CI box and real scaling on multi-core hardware. The CI gate
@@ -84,15 +84,9 @@ void AppendRunJson(std::string* out, const Run& r, double base_ms) {
   std::snprintf(
       buf, sizeof(buf),
       "        {\"threads\": %d, \"ms\": %.3f, \"speedup\": %.3f, "
-      "\"join_ms\": %.3f, \"comp_ms\": %.3f, \"hash_build_rows\": %lld, "
-      "\"partitions_built\": %lld, \"max_partition_rows\": %lld, "
-      "\"min_partition_rows\": %lld, \"partition_skew\": %.3f}",
+      "\"join_ms\": %.3f, \"comp_ms\": %.3f, \"hash_build_rows\": %lld}",
       r.threads, r.ms, r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
-      r.stats.comp_ms, static_cast<long long>(r.stats.hash_build_rows),
-      static_cast<long long>(r.stats.partitions_built),
-      static_cast<long long>(r.stats.max_partition_rows),
-      static_cast<long long>(r.stats.min_partition_rows),
-      r.stats.partition_skew);
+      r.stats.comp_ms, static_cast<long long>(r.stats.hash_build_rows));
   *out += buf;
 }
 
@@ -158,8 +152,8 @@ int Main(int argc, char** argv) {
       w.query = q.name;
       w.plan_kind = p.kind;
       std::printf("-- %s, %s plan\n", q.name.c_str(), p.kind);
-      std::printf("%8s %10s %8s %10s %10s %12s %6s\n", "threads", "ms",
-                  "speedup", "join_ms", "comp_ms", "partitions", "skew");
+      std::printf("%8s %10s %8s %10s %10s %12s\n", "threads", "ms",
+                  "speedup", "join_ms", "comp_ms", "build_rows");
       double base_ms = 0;
       for (int t : kThreads) {
         w.runs.push_back(TimeWithThreads(*p.plan, q.db, t, iters, tuning));
@@ -171,11 +165,10 @@ int Main(int argc, char** argv) {
           w.identical = false;
           all_identical = false;
         }
-        std::printf("%8d %10.2f %7.2fx %10.2f %10.2f %12lld %6.2f\n", t,
-                    r.ms, r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
+        std::printf("%8d %10.2f %7.2fx %10.2f %10.2f %12lld\n", t, r.ms,
+                    r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
                     r.stats.comp_ms,
-                    static_cast<long long>(r.stats.partitions_built),
-                    r.stats.partition_skew);
+                    static_cast<long long>(r.stats.hash_build_rows));
       }
       std::printf("rows out: %lld, results byte-identical: %s\n\n",
                   static_cast<long long>(w.rows_out),

@@ -2,8 +2,8 @@
 // EXPLAIN ANALYZE on both plans of the paper's Q1 and shows the per-
 // operator row counts and timings: the direct plan pays two antijoin
 // probes over all of Partsupp, while the ECA plan pays one outerjoin pass
-// plus the best-match (gamma*) sort. It also demonstrates the pull-based
-// engine's early-out on a row limit.
+// plus the best-match (gamma*) sort. It ends with the first rows of the
+// query's result.
 //
 // Usage: profile_plans [scale_factor] [nu]
 
@@ -13,7 +13,6 @@
 #include "eca/optimizer.h"
 #include "enumerate/join_order.h"
 #include "exec/explain.h"
-#include "exec/iterator_exec.h"
 #include "tpch/paper_queries.h"
 
 using namespace eca;
@@ -42,10 +41,9 @@ int main(int argc, char** argv) {
   std::printf("==== EXPLAIN ANALYZE: ECA plan ====\n%s\n",
               ExplainAnalyze(*reordered, q.db).c_str());
 
-  // Early-out: the pull engine can stop after the first few result rows.
-  Relation first = ExecutePullLimit(*q.plan, q.db, 3);
-  std::printf("first %lld rows via the pull engine:\n%s",
-              static_cast<long long>(first.NumRows()),
-              first.ToString().c_str());
+  Relation result = eca.Execute(*q.plan, q.db);
+  std::printf("first 3 of %lld result rows:\n%s",
+              static_cast<long long>(result.NumRows()),
+              result.ToString(3).c_str());
   return 0;
 }

@@ -2,18 +2,8 @@
 
 namespace eca {
 
-namespace {
-
-// Iterations claimed per lock acquisition. Coarse enough to keep lock
-// traffic negligible for the executor's partition/chunk-sized tasks,
-// fine enough that a skewed chunk can still be stolen around.
-constexpr int64_t kClaimGrain = 1;
-
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads < 1 ? 1 : num_threads) {
-  ranges_.resize(static_cast<size_t>(num_threads_));
   workers_.reserve(static_cast<size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -27,45 +17,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-void ThreadPool::ParallelFor(int64_t count,
-                             const std::function<void(int64_t)>& fn) {
-  if (count <= 0) return;
-  bool run_inline = num_threads_ == 1 || count == 1;
-  if (!run_inline) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Reentrant call from inside a loop body: run sequentially.
-    if (in_loop_) run_inline = true;
-  }
-  if (run_inline) {
-    for (int64_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    int64_t per = count / num_threads_;
-    int64_t extra = count % num_threads_;
-    int64_t begin = 0;
-    for (int w = 0; w < num_threads_; ++w) {
-      int64_t len = per + (w < extra ? 1 : 0);
-      ranges_[static_cast<size_t>(w)] = {begin, begin + len};
-      begin += len;
-    }
-    fn_ = &fn;
-    in_loop_ = true;
-    active_workers_ = num_threads_ - 1;  // workers; the caller joins too
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-
-  DrainLoop(/*worker=*/0);
-
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return active_workers_ == 0; });
-  fn_ = nullptr;
-  in_loop_ = false;
 }
 
 void ThreadPool::RunOnWorkers(const std::function<void(int)>& fn) {
@@ -110,57 +61,11 @@ void ThreadPool::WorkerLoop(int worker) {
       seen_epoch = epoch_;
       worker_fn = worker_fn_;
     }
-    if (worker_fn != nullptr) {
-      (*worker_fn)(worker);
-    } else {
-      DrainLoop(worker);
-    }
+    (*worker_fn)(worker);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--active_workers_ == 0) done_cv_.notify_all();
     }
-  }
-}
-
-void ThreadPool::DrainLoop(int worker) {
-  const std::function<void(int64_t)>* fn;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn = fn_;
-  }
-  for (;;) {
-    int64_t begin = -1, end = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Range& own = ranges_[static_cast<size_t>(worker)];
-      if (own.next < own.end) {
-        begin = own.next;
-        end = begin + kClaimGrain < own.end ? begin + kClaimGrain : own.end;
-        own.next = end;
-      } else {
-        // Own range drained: steal the upper half of the largest
-        // remaining sibling range.
-        int victim = -1;
-        int64_t victim_left = 0;
-        for (int w = 0; w < num_threads_; ++w) {
-          int64_t left = ranges_[static_cast<size_t>(w)].end -
-                         ranges_[static_cast<size_t>(w)].next;
-          if (left > victim_left) {
-            victim_left = left;
-            victim = w;
-          }
-        }
-        if (victim < 0) return;  // loop finished
-        Range& v = ranges_[static_cast<size_t>(victim)];
-        // Upper half (rounded up, so a 1-item range is fully stolen).
-        int64_t mid = v.next + (v.end - v.next) / 2;
-        own.next = mid;
-        own.end = v.end;
-        v.end = mid;
-        continue;
-      }
-    }
-    for (int64_t i = begin; i < end; ++i) (*fn)(i);
   }
 }
 

@@ -49,16 +49,11 @@ class MorselCursor {
   const int64_t morsel_;
 };
 
-// A small work-stealing thread pool for data-parallel loops.
+// A small thread pool for morsel-driven loops.
 //
 // The pool owns `num_threads - 1` persistent workers; the caller's thread
-// participates as worker 0, so ParallelFor(n, f) with num_threads == 1
-// degenerates to a plain sequential loop with zero synchronization. Each
-// ParallelFor splits [0, count) into one contiguous range per worker;
-// workers drain their own range from the front and, when empty, steal the
-// upper half of the largest remaining range. Range splits keep iteration
-// chunks contiguous, which the executor relies on for order-preserving
-// (and therefore thread-count-independent) output assembly.
+// participates as worker 0, so RunOnWorkers with num_threads == 1
+// degenerates to one inline call with zero synchronization.
 //
 // Tasks must not throw; the engine reports errors through Status values
 // computed inside the loop body, never exceptions.
@@ -75,13 +70,6 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Invokes fn(i) for every i in [0, count), distributed over the pool,
-  // and blocks until all iterations finish. Iterations may run in any
-  // order and concurrently; fn must be safe to call from multiple threads.
-  // Reentrant calls from inside fn run sequentially on the calling thread
-  // (nested parallelism is not worth its complexity here).
-  void ParallelFor(int64_t count, const std::function<void(int64_t)>& fn);
-
   // Runs fn(worker) once on every pool thread (the caller participates as
   // worker 0) and blocks until all invocations return. This is the morsel
   // driver: each invocation pulls morsels from a shared MorselCursor until
@@ -92,24 +80,8 @@ class ThreadPool {
   // calls run fn once on the calling thread.
   void RunOnWorkers(const std::function<void(int)>& fn);
 
-  // Heuristic shard count for a loop body over `count` items: enough
-  // shards to balance moderately skewed work, never more than the items.
-  int64_t ShardsFor(int64_t count) const {
-    int64_t target = static_cast<int64_t>(num_threads_) * 4;
-    return count < target ? (count < 1 ? 1 : count) : target;
-  }
-
  private:
-  // One contiguous, stealable slice of the iteration space.
-  struct Range {
-    int64_t next = 0;  // first unclaimed iteration
-    int64_t end = 0;   // one past the last iteration
-  };
-
   void WorkerLoop(int worker);
-  // Runs iterations for `worker` until the current loop has no work left,
-  // stealing from sibling ranges once its own is exhausted.
-  void DrainLoop(int worker);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
@@ -117,14 +89,11 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for a new loop
   std::condition_variable done_cv_;   // caller waits for loop completion
-  std::vector<Range> ranges_;         // per-worker slices of current loop
-  const std::function<void(int64_t)>* fn_ = nullptr;
-  // Non-null during RunOnWorkers: workers call worker_fn_(worker) once
-  // instead of draining ranges.
+  // The current loop's body; workers call (*worker_fn_)(worker) once.
   const std::function<void(int)>* worker_fn_ = nullptr;
-  uint64_t epoch_ = 0;      // bumped per ParallelFor; wakes workers
+  uint64_t epoch_ = 0;      // bumped per RunOnWorkers; wakes workers
   int active_workers_ = 0;  // workers still inside the current loop
-  bool in_loop_ = false;    // guards against reentrant ParallelFor
+  bool in_loop_ = false;    // guards against reentrant RunOnWorkers
   bool shutdown_ = false;
 };
 

@@ -70,7 +70,6 @@ void Executor::PublishStatsDelta(const ExecStats& before) const {
   static Counter* const joins = reg.counter("exec.join_nodes");
   static Counter* const comps = reg.counter("exec.comp_nodes");
   static Counter* const build_rows = reg.counter("exec.hash_build_rows");
-  static Counter* const partitions = reg.counter("exec.partitions_built");
   static Counter* const spilled_parts =
       reg.counter("exec.spilled_partitions");
   static Counter* const spill_bytes = reg.counter("exec.spill_bytes");
@@ -84,7 +83,6 @@ void Executor::PublishStatsDelta(const ExecStats& before) const {
   joins->Add(stats_.join_nodes - before.join_nodes);
   comps->Add(stats_.comp_nodes - before.comp_nodes);
   build_rows->Add(stats_.hash_build_rows - before.hash_build_rows);
-  partitions->Add(stats_.partitions_built - before.partitions_built);
   spilled_parts->Add(stats_.spilled_partitions - before.spilled_partitions);
   spill_bytes->Add(stats_.spill_bytes - before.spill_bytes);
   spill_read->Add(stats_.spill_read_bytes - before.spill_read_bytes);

@@ -29,22 +29,6 @@ struct ExecStats {
   double join_ms = 0;
   double comp_ms = 0;
 
-  // Partition shape of the hash joins executed, measured at a fixed stat
-  // fanout (16 hash partitions) independent of the thread count: total
-  // stat partitions, the largest/smallest partition, and the worst
-  // observed skew (largest partition over the mean partition size; 1.0 =
-  // perfectly balanced, higher = one key-hash range dominates). The same
-  // query reports the same shape at every --threads value.
-  int64_t partitions_built = 0;
-  int64_t max_partition_rows = 0;
-  int64_t min_partition_rows = 0;
-  double partition_skew = 0;
-  // True once any hash join seeded the min/max/skew fields above; the
-  // min-tracking needs it to distinguish "first build" from "smallest so
-  // far" (an explicit flag — the old partitions_built-based heuristic
-  // misfired across joins).
-  bool partition_stats_seeded = false;
-
   // Resource-governor counters (ExecuteWithContext only; all zero for
   // ungoverned runs). peak_bytes is the query tracker's high-water mark;
   // the spill counters cover grace hash joins and external-sort
@@ -168,6 +152,15 @@ Relation EvalJoin(JoinOp op, const PredRef& pred, const Relation& left,
 // validate the hash/sort-merge paths.
 Relation EvalJoinNaive(JoinOp op, const PredRef& pred, const Relation& left,
                        const Relation& right);
+
+// The reference engine: evaluates `plan` by plain recursion over whole
+// relations — leaves copy the table, joins run EvalJoinNaive, beta runs
+// EvalBetaNaive, and lambda / gamma (Eq. 7) / gamma* (Eq. 8) are written
+// straight from their definitions. Shares no code path with Executor's
+// morsel, fused-chain, hash, sort-merge or spill machinery, which makes it
+// the independent oracle for tests and ecafuzz. Quadratic; for small
+// databases only.
+Relation ExecuteNaive(const Plan& plan, const Database& db);
 
 // Output schema of `op` over the two input schemas (semi/anti joins keep
 // one side, everything else concatenates).

@@ -319,20 +319,10 @@ Relation NestedLoopJoin(JoinOp op, const PredRef& pred, const Relation& left,
 // only on (rows, morsel_rows) — so output bytes are identical for every
 // thread count.
 
-// Fanout of the partition-shape statistics (partitions_built,
-// max/min_partition_rows, partition_skew): a fixed histogram over the low
-// 4 hash bits, computed after the build. The old code derived these from
-// the physical partition count (4x threads), so a 1-thread run reported a
-// meaningless skew of 1.000 over its single partition and the numbers
-// changed shape with --threads; the fixed fanout makes them a property of
-// the data, identical at every thread count.
-constexpr int kStatFanout = 16;
-
 struct JoinTable {
   KeyChunkSet keys;                         // columnar build-side keys
   std::vector<std::atomic<int64_t>> slots;  // open addressing; -1 = empty
   uint64_t mask = 0;                        // slots.size() - 1 (power of 2)
-  int64_t valid_rows = 0;                   // rows with non-NULL keys
 };
 
 void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
@@ -352,12 +342,17 @@ void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
 
   // One fused pass: extract the morsel's keys into the typed columns and
   // CAS each valid row into the table. Load factor stays <= 0.5, so
-  // linear-probe clusters are short.
+  // linear-probe clusters are short. Each worker counts the rows it
+  // inserts into its own slot; the sum is hash_build_rows.
   MorselCursor cursor(n, tuning.morsel_rows);
-  auto build_worker = [&](int) {
+  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  std::vector<int64_t> inserted(
+      static_cast<size_t>(parallel ? pool->num_threads() : 1), 0);
+  auto build_worker = [&](int worker) {
     int64_t begin, end, morsel;
+    int64_t count = 0;
     while (cursor.Next(&begin, &end, &morsel)) {
-      if (ctx != nullptr && ctx->ShouldStop()) return;
+      if (ctx != nullptr && ctx->ShouldStop()) break;
       for (int64_t r = begin; r < end; ++r) {
         table->keys.ExtractRow(r, rel.rows()[static_cast<size_t>(r)], col_idx,
                                exprs, rel.schema());
@@ -371,46 +366,18 @@ void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
           expected = -1;
           idx = (idx + 1) & table->mask;
         }
+        ++count;
       }
     }
+    inserted[static_cast<size_t>(worker)] = count;
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
+  if (parallel) {
     pool->RunOnWorkers(build_worker);
   } else {
     build_worker(0);
   }
-
-  int64_t counts[kStatFanout] = {0};
-  int64_t valid = 0;
-  for (int64_t r = 0; r < n; ++r) {
-    if (!table->keys.ValidAt(r)) continue;
-    ++valid;
-    ++counts[table->keys.hashes[static_cast<size_t>(r)] &
-             uint64_t{kStatFanout - 1}];
-  }
-  table->valid_rows = valid;
   if (stats != nullptr) {
-    stats->hash_build_rows += valid;
-    stats->partitions_built += kStatFanout;
-    int64_t max_rows = 0;
-    int64_t min_rows = counts[0];
-    for (int64_t c : counts) {
-      max_rows = std::max(max_rows, c);
-      min_rows = std::min(min_rows, c);
-    }
-    stats->max_partition_rows = std::max(stats->max_partition_rows, max_rows);
-    // First-build detection is an explicit flag; the old heuristic
-    // (`partitions_built == P`) misfired as soon as two joins in one
-    // Execute() used different partition counts, leaving min_partition_rows
-    // stuck at the first join's value.
-    stats->min_partition_rows = stats->partition_stats_seeded
-                                    ? std::min(stats->min_partition_rows,
-                                               min_rows)
-                                    : min_rows;
-    stats->partition_stats_seeded = true;
-    double mean = static_cast<double>(valid) / kStatFanout;
-    double skew = mean > 0 ? static_cast<double>(max_rows) / mean : 1.0;
-    stats->partition_skew = std::max(stats->partition_skew, skew);
+    for (int64_t c : inserted) stats->hash_build_rows += c;
   }
 }
 

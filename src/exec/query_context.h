@@ -35,7 +35,7 @@ class CancelToken {
 //  - a CancelToken plus an absolute wall-clock deadline,
 //  - the spill directory override for this query's temp files,
 //  - a first-error-wins Status slot that parallel operator chunks report
-//    into (worker lambdas cannot return Status through ParallelFor).
+//    into (worker lambdas cannot return Status through RunOnWorkers).
 //
 // Operators call ShouldStop() once per chunk of work; when it flips they
 // stop producing and the executor returns StopStatus() — kCancelled,

@@ -19,6 +19,7 @@
 #include "common/metrics.h"
 #include "exec/database.h"
 #include "expr/expr.h"
+#include "storage/record_io.h"
 #include "testing/fault_injection.h"
 
 namespace eca {
@@ -26,19 +27,6 @@ namespace eca {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Same FNV-1a as spill_file.cc: one checksum idiom across every on-disk
-// byte this system writes.
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, const unsigned char* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // File header payload: magic + version + epoch + catalog fingerprint.
 constexpr char kMagic[8] = {'E', 'C', 'A', 'P', 'C', 'A', 'C', 'H'};
@@ -48,7 +36,6 @@ constexpr uint32_t kVersion = 1;
 // anything that could turn corrupt input into an OOM.
 constexpr uint32_t kMaxRecordLen = 1u << 26;
 constexpr uint32_t kMaxCount = 1u << 20;
-constexpr uint32_t kMaxStringLen = 1u << 26;
 constexpr int kMaxTreeDepth = 512;
 
 // cache.* metric catalog (docs/service.md). Registered eagerly so the
@@ -81,148 +68,12 @@ const CacheCounters& Counters() {
   return counters;
 }
 
-Status InjectedIo(const char* op, const std::string& path) {
-  return Status::DataLoss(std::string("cache I/O fault injected during ") +
-                          op + " of " + path);
-}
-
-// --- byte building ---------------------------------------------------------
-
-void PutU8(std::vector<unsigned char>* b, uint8_t v) { b->push_back(v); }
-
-void PutU32(std::vector<unsigned char>* b, uint32_t v) {
-  for (int i = 0; i < 4; ++i) b->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::vector<unsigned char>* b, uint64_t v) {
-  for (int i = 0; i < 8; ++i) b->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutI32(std::vector<unsigned char>* b, int32_t v) {
-  PutU32(b, static_cast<uint32_t>(v));
-}
-
-void PutF64(std::vector<unsigned char>* b, double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  PutU64(b, bits);
-}
-
-void PutString(std::vector<unsigned char>* b, const std::string& s) {
-  PutU32(b, static_cast<uint32_t>(s.size()));
-  b->insert(b->end(), s.begin(), s.end());
-}
-
-// --- bounds-checked reading ------------------------------------------------
-
-// Every Get* returns a harmless zero value once `ok` has dropped; callers
-// check ok at the decode boundaries, not after every field.
-struct ByteReader {
-  const unsigned char* data = nullptr;
-  size_t size = 0;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (!ok || size - pos < n || pos > size) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t GetU8() {
-    if (!Need(1)) return 0;
-    return data[pos++];
-  }
-  uint32_t GetU32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-  uint64_t GetU64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos++]) << (8 * i);
-    return v;
-  }
-  int32_t GetI32() { return static_cast<int32_t>(GetU32()); }
-  double GetF64() {
-    uint64_t bits = GetU64();
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
-  std::string GetString() {
-    uint32_t len = GetU32();
-    if (len > kMaxStringLen || !Need(len)) {
-      ok = false;
-      return std::string();
-    }
-    std::string s(reinterpret_cast<const char*>(data + pos), len);
-    pos += len;
-    return s;
-  }
-};
-
 // --- scalar / predicate / plan codec ---------------------------------------
 //
 // A structural binary encoding, NOT the text notation: the parser grammar
 // only covers compare/AND predicates, while rewrites put Or/Not/IsNull/
 // AllNullBlock into cached subtrees. Every enum is range-checked on
 // decode; tree depth is bounded so corrupt input cannot blow the stack.
-
-void EncodeValue(std::vector<unsigned char>* b, const Value& v) {
-  uint8_t tag = 0;
-  switch (v.type()) {
-    case DataType::kInt64:
-      tag = 0;
-      break;
-    case DataType::kDouble:
-      tag = 1;
-      break;
-    case DataType::kString:
-      tag = 2;
-      break;
-  }
-  PutU8(b, static_cast<uint8_t>((tag << 1) | (v.is_null() ? 1 : 0)));
-  if (v.is_null()) return;
-  switch (v.type()) {
-    case DataType::kInt64:
-      PutU64(b, static_cast<uint64_t>(v.AsInt()));
-      break;
-    case DataType::kDouble:
-      PutF64(b, v.AsDouble());
-      break;
-    case DataType::kString:
-      PutString(b, v.AsStr());
-      break;
-  }
-}
-
-Value DecodeValue(ByteReader* r) {
-  uint8_t h = r->GetU8();
-  bool null = (h & 1) != 0;
-  uint8_t tag = h >> 1;
-  if (tag > 2) {
-    r->ok = false;
-    return Value();
-  }
-  DataType type = tag == 0   ? DataType::kInt64
-                  : tag == 1 ? DataType::kDouble
-                             : DataType::kString;
-  if (null) return Value::Null(type);
-  switch (type) {
-    case DataType::kInt64:
-      return Value::Int(static_cast<int64_t>(r->GetU64()));
-    case DataType::kDouble:
-      return Value::Real(r->GetF64());
-    case DataType::kString:
-      return Value::Str(r->GetString());
-  }
-  r->ok = false;
-  return Value();
-}
 
 void EncodeScalar(std::vector<unsigned char>* b, const Scalar& s) {
   PutU8(b, static_cast<uint8_t>(s.kind()));
@@ -481,17 +332,14 @@ PlanPtr DecodePlan(ByteReader* r, int depth) {
 
 void AppendRecord(std::vector<unsigned char>* file,
                   const std::vector<unsigned char>& payload) {
-  std::vector<unsigned char> frame;
-  frame.reserve(payload.size() + 12);
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  PutU64(&frame, FnvMix(kFnvOffset, frame.data(), frame.size()));
-  file->insert(file->end(), frame.begin(), frame.end());
+  size_t start = BeginRecord(file);
+  file->insert(file->end(), payload.begin(), payload.end());
+  EndRecord(file, start);
 }
 
 void EncodeHeader(std::vector<unsigned char>* payload, uint64_t epoch,
                   uint64_t catalog_fp) {
-  payload->insert(payload->end(), kMagic, kMagic + sizeof(kMagic));
+  for (char c : kMagic) PutU8(payload, static_cast<uint8_t>(c));
   PutU32(payload, kVersion);
   PutU64(payload, epoch);
   PutU64(payload, catalog_fp);
@@ -531,7 +379,7 @@ bool NextRecord(const std::vector<unsigned char>& file, size_t* pos,
 
 Status SyncFd(int fd, const std::string& path) {
   if (FaultInjector::ShouldFail(FaultPoint::kCacheIo)) {
-    return InjectedIo("fsync", path);
+    return InjectedIo("cache", "fsync", path);
   }
   if (::fsync(fd) != 0) {
     return Status::DataLoss("cannot fsync " + path + ": " +
@@ -559,7 +407,7 @@ Status ReadWholeFile(const std::string& path, std::vector<unsigned char>* out,
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) return Status::OK();
   if (FaultInjector::ShouldFail(FaultPoint::kCacheIo)) {
-    return InjectedIo("open", path);
+    return InjectedIo("cache", "open", path);
   }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -571,7 +419,7 @@ Status ReadWholeFile(const std::string& path, std::vector<unsigned char>* out,
   for (;;) {
     if (FaultInjector::ShouldFail(FaultPoint::kCacheIo)) {
       std::fclose(f);
-      return InjectedIo("read", path);
+      return InjectedIo("cache", "read", path);
     }
     size_t got = std::fread(buf, 1, sizeof(buf), f);
     out->insert(out->end(), buf, buf + got);
@@ -855,7 +703,7 @@ Status CacheStore::WriteLocked(const std::string& path,
 
   if (FaultInjector::ShouldFail(FaultPoint::kCacheIo)) {
     Counters().io_errors->Increment();
-    return InjectedIo("open", path);
+    return InjectedIo("cache", "open", path);
   }
   std::FILE* f = std::fopen(path.c_str(), append ? "ab" : "wb");
   if (f == nullptr) {
@@ -865,7 +713,7 @@ Status CacheStore::WriteLocked(const std::string& path,
   }
   Status failed;
   if (FaultInjector::ShouldFail(FaultPoint::kCacheIo)) {
-    failed = InjectedIo("write", path);
+    failed = InjectedIo("cache", "write", path);
   } else if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size() ||
              std::fflush(f) != 0) {
     failed = Status::DataLoss("short write to cache file " + path + ": " +
@@ -912,7 +760,7 @@ Status CacheStore::WriteSnapshot(SharedMemo* memo, uint64_t catalog_fp) {
     Counters().io_errors->Increment();
     std::error_code ec;
     fs::remove(tmp, ec);
-    return InjectedIo("rename", path_);
+    return InjectedIo("cache", "rename", path_);
   }
   std::error_code ec;
   fs::rename(tmp, path_, ec);

@@ -14,6 +14,7 @@
 
 #include "common/str_util.h"
 #include "common/trace.h"
+#include "storage/record_io.h"
 #include "testing/fault_injection.h"
 
 namespace eca {
@@ -21,44 +22,6 @@ namespace eca {
 namespace {
 
 namespace fs = std::filesystem;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, const unsigned char* p, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-void PutU8(std::vector<unsigned char>* b, uint8_t v) { b->push_back(v); }
-
-void PutU32(std::vector<unsigned char>* b, uint32_t v) {
-  for (int i = 0; i < 4; ++i) b->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::vector<unsigned char>* b, uint64_t v) {
-  for (int i = 0; i < 8; ++i) b->push_back((v >> (8 * i)) & 0xff);
-}
-
-uint8_t TypeTag(DataType t) {
-  switch (t) {
-    case DataType::kInt64:
-      return 0;
-    case DataType::kDouble:
-      return 1;
-    case DataType::kString:
-      return 2;
-  }
-  return 0;
-}
-
-Status InjectedIo(const char* op, const std::string& path) {
-  return Status::DataLoss(std::string("spill I/O fault injected during ") +
-                          op + " of " + path);
-}
 
 // Process-wide counter for unique spill directory names; combined with
 // the pid so concurrent processes sharing a temp dir never collide.
@@ -150,7 +113,7 @@ SpillDir::~SpillDir() { RemoveAll(); }
 StatusOr<std::string> SpillDir::NextFilePath() {
   if (!created_) {
     if (FaultInjector::ShouldFail(FaultPoint::kSpillIo)) {
-      return InjectedIo("mkdir", label_);
+      return InjectedIo("spill", "mkdir", label_);
     }
     std::error_code ec;
     fs::path base = base_dir_.empty()
@@ -196,7 +159,7 @@ SpillWriter::~SpillWriter() {
 Status SpillWriter::Open(const std::string& path, SpillStats* stats) {
   ECA_CHECK(file_ == nullptr);
   if (FaultInjector::ShouldFail(FaultPoint::kSpillIo)) {
-    return InjectedIo("open", path);
+    return InjectedIo("spill", "open", path);
   }
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -213,32 +176,11 @@ Status SpillWriter::Open(const std::string& path, SpillStats* stats) {
 Status SpillWriter::Append(uint64_t tag, const Tuple& row) {
   ECA_CHECK(file_ != nullptr);
   buf_.clear();
+  size_t start = BeginRecord(&buf_);
   PutU64(&buf_, tag);
   PutU32(&buf_, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) {
-    PutU8(&buf_, static_cast<uint8_t>((TypeTag(v.type()) << 1) |
-                                      (v.is_null() ? 1 : 0)));
-    if (v.is_null()) continue;
-    switch (v.type()) {
-      case DataType::kInt64:
-        PutU64(&buf_, static_cast<uint64_t>(v.AsInt()));
-        break;
-      case DataType::kDouble: {
-        uint64_t bits;
-        double d = v.AsDouble();
-        std::memcpy(&bits, &d, sizeof(bits));
-        PutU64(&buf_, bits);
-        break;
-      }
-      case DataType::kString: {
-        const std::string& s = v.AsStr();
-        PutU32(&buf_, static_cast<uint32_t>(s.size()));
-        buf_.insert(buf_.end(), s.begin(), s.end());
-        break;
-      }
-    }
-  }
-  PutU64(&buf_, FnvMix(kFnvOffset, buf_.data(), buf_.size()));
+  for (const Value& v : row) EncodeValue(&buf_, v);
+  EndRecord(&buf_, start);
   if (FaultInjector::ShouldFail(FaultPoint::kSpillIo)) {
     switch (FaultInjector::Variant(FaultPoint::kSpillIo)) {
       case FaultVariant::kShortWrite: {
@@ -258,7 +200,7 @@ Status SpillWriter::Append(uint64_t tag, const Tuple& row) {
         return Status::DataLoss("cannot write spill file " + path_ + ": " +
                                 std::strerror(ENOSPC) + " (fault injected)");
       case FaultVariant::kDefault:
-        return InjectedIo("write", path_);
+        return InjectedIo("spill", "write", path_);
     }
   }
   if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
@@ -286,7 +228,7 @@ Status SpillWriter::Finish() {
       return Status::DataLoss("cannot flush spill file " + path_ + ": " +
                               std::strerror(ENOSPC) + " (fault injected)");
     }
-    return InjectedIo("flush", path_);
+    return InjectedIo("spill", "flush", path_);
   }
   if (flush_rc != 0 || close_rc != 0) {
     return Status::DataLoss("cannot flush spill file " + path_ +
@@ -302,7 +244,7 @@ SpillReader::~SpillReader() { Close(); }
 Status SpillReader::Open(const std::string& path, SpillStats* stats) {
   ECA_CHECK(file_ == nullptr);
   if (FaultInjector::ShouldFail(FaultPoint::kSpillIo)) {
-    return InjectedIo("open", path);
+    return InjectedIo("spill", "open", path);
   }
   file_ = std::fopen(path.c_str(), "rb");
   if (file_ == nullptr) {
@@ -335,94 +277,37 @@ Status SpillReader::Next(uint64_t* tag, Tuple* row, bool* eof) {
     if (stats_ != nullptr) stats_->bytes_read += static_cast<int64_t>(n);
     return Status::OK();
   };
-  auto get_u32 = [](const unsigned char* p) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    return v;
-  };
-  auto get_u64 = [](const unsigned char* p) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    return v;
-  };
 
   if (FaultInjector::ShouldFail(FaultPoint::kSpillIo)) {
-    return InjectedIo("read", path_);
+    return InjectedIo("spill", "read", path_);
   }
-  unsigned char header[12];
-  ECA_RETURN_IF_ERROR(read_exact(header, sizeof(header), /*allow_eof=*/true));
+  buf_.resize(4);
+  ECA_RETURN_IF_ERROR(read_exact(buf_.data(), 4, /*allow_eof=*/true));
   if (*eof) return Status::OK();
-  uint64_t checksum = FnvMix(kFnvOffset, header, sizeof(header));
-  *tag = get_u64(header);
-  uint32_t nvalues = get_u32(header + 8);
-  // A corrupted count would make us allocate garbage; bound it so the
+  ByteReader len_reader{buf_.data(), 4};
+  const uint32_t len = len_reader.GetU32();
+  // A corrupted length would make us allocate garbage; bound it so the
   // checksum check below is reached instead of an OOM.
-  if (nvalues > (1u << 20)) {
-    return Status::DataLoss("corrupt spill record (value count) in " +
-                            path_);
+  if (len > (1u << 28)) {
+    return Status::DataLoss("corrupt spill record (length) in " + path_);
   }
-  row->clear();
-  row->reserve(nvalues);
-  for (uint32_t i = 0; i < nvalues; ++i) {
-    unsigned char vh;
-    ECA_RETURN_IF_ERROR(read_exact(&vh, 1, /*allow_eof=*/false));
-    checksum = FnvMix(checksum, &vh, 1);
-    bool null = (vh & 1) != 0;
-    uint8_t type_tag = vh >> 1;
-    DataType type = type_tag == 0   ? DataType::kInt64
-                    : type_tag == 1 ? DataType::kDouble
-                                    : DataType::kString;
-    if (type_tag > 2) {
-      return Status::DataLoss("corrupt spill record (type tag) in " + path_);
-    }
-    if (null) {
-      row->push_back(Value::Null(type));
-      continue;
-    }
-    switch (type) {
-      case DataType::kInt64: {
-        unsigned char p[8];
-        ECA_RETURN_IF_ERROR(read_exact(p, 8, /*allow_eof=*/false));
-        checksum = FnvMix(checksum, p, 8);
-        row->push_back(Value::Int(static_cast<int64_t>(get_u64(p))));
-        break;
-      }
-      case DataType::kDouble: {
-        unsigned char p[8];
-        ECA_RETURN_IF_ERROR(read_exact(p, 8, /*allow_eof=*/false));
-        checksum = FnvMix(checksum, p, 8);
-        uint64_t bits = get_u64(p);
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        row->push_back(Value::Real(d));
-        break;
-      }
-      case DataType::kString: {
-        unsigned char p[4];
-        ECA_RETURN_IF_ERROR(read_exact(p, 4, /*allow_eof=*/false));
-        checksum = FnvMix(checksum, p, 4);
-        uint32_t len = get_u32(p);
-        if (len > (1u << 28)) {
-          return Status::DataLoss("corrupt spill record (string length) in " +
-                                  path_);
-        }
-        std::string s(len, '\0');
-        if (len > 0) {
-          ECA_RETURN_IF_ERROR(read_exact(s.data(), len, /*allow_eof=*/false));
-          checksum = FnvMix(
-              checksum, reinterpret_cast<const unsigned char*>(s.data()),
-              len);
-        }
-        row->push_back(Value::Str(std::move(s)));
-        break;
-      }
-    }
-  }
-  unsigned char stored[8];
-  ECA_RETURN_IF_ERROR(read_exact(stored, 8, /*allow_eof=*/false));
-  if (get_u64(stored) != checksum) {
+  buf_.resize(4 + size_t{len} + 8);
+  ECA_RETURN_IF_ERROR(read_exact(buf_.data() + 4, size_t{len} + 8,
+                                 /*allow_eof=*/false));
+  ByteReader r{buf_.data(), buf_.size(), 4 + size_t{len}};
+  if (r.GetU64() != FnvMix(kFnvOffset, buf_.data(), 4 + size_t{len})) {
     return Status::DataLoss("spill record checksum mismatch in " + path_ +
                             " (corrupted or torn write)");
+  }
+  r = ByteReader{buf_.data(), 4 + size_t{len}, 4};
+  *tag = r.GetU64();
+  uint32_t nvalues = r.GetU32();
+  row->clear();
+  for (uint32_t i = 0; r.ok && i < nvalues; ++i) {
+    row->push_back(DecodeValue(&r));
+  }
+  if (!r.ok || r.pos != r.size) {
+    return Status::DataLoss("corrupt spill record in " + path_);
   }
   return Status::OK();
 }

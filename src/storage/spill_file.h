@@ -21,14 +21,12 @@ namespace eca {
 // directory and guarantees cleanup on every path, error paths included —
 // a governed query never leaves orphan files behind.
 //
-// Record format (little-endian, per row):
+// One framed record (storage/record_io.h) per row; the payload is
 //   u64 tag        caller payload (the executor stores the global row id,
 //                  which is what lets spilled joins reassemble output
 //                  byte-identical to the in-memory order)
 //   u32 nvalues
-//   per value: u8 header (type tag | null bit), then the payload
-//              (i64 / double bits / u32 len + bytes for strings)
-//   u64 checksum   FNV-1a over everything above
+//   nvalues Values in the record_io Value encoding
 //
 // All I/O errors — open, write, flush, short read, checksum mismatch —
 // surface as Status; FaultPoint::kSpillIo injects them deterministically

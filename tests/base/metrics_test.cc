@@ -175,7 +175,6 @@ TEST(RegistryConsistencyTest, ExecutorDeltaMatchesExecStats) {
   EXPECT_EQ(CounterDelta(diff, "exec.join_nodes"), s.join_nodes);
   EXPECT_EQ(CounterDelta(diff, "exec.comp_nodes"), s.comp_nodes);
   EXPECT_EQ(CounterDelta(diff, "exec.hash_build_rows"), s.hash_build_rows);
-  EXPECT_EQ(CounterDelta(diff, "exec.partitions_built"), s.partitions_built);
   EXPECT_EQ(CounterDelta(diff, "exec.spilled_partitions"),
             s.spilled_partitions);
   EXPECT_EQ(CounterDelta(diff, "exec.spill_bytes"), s.spill_bytes);

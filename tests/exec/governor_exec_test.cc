@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "eca/optimizer.h"
 #include "exec/executor.h"
-#include "exec/iterator_exec.h"
 #include "exec/query_context.h"
 #include "storage/relation.h"
 #include "storage/spill_file.h"
@@ -517,38 +516,6 @@ TEST(GovernorLimitTest, SpillShortWritePhysicallyTearsTheRecord) {
 
   std::error_code ec;
   fs::remove_all(dir, ec);
-}
-
-// The pull (iterator) engine honors the same contract at its single
-// materialization point.
-TEST(GovernorPullTest, GovernedPullMatchesUngovernedPull) {
-  Rng rng(53);
-  RandomDataOptions dopts;
-  dopts.max_rows = 16;
-  Database db = RandomDatabase(rng, 3, dopts);
-  RandomQueryOptions qopts;
-  qopts.num_rels = 3;
-  PlanPtr query = RandomQuery(rng, qopts, dopts);
-  Relation expected = ExecutePull(*query, db);
-  QueryContext ctx(SpillEverythingLimits());
-  StatusOr<Relation> got = ExecutePullGoverned(*query, db, &ctx);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectIdentical(expected, *got, "governed pull");
-  EXPECT_EQ(ctx.tracker()->used(), 0);
-}
-
-TEST(GovernorPullTest, GovernedPullObservesCancellation) {
-  Rng rng(59);
-  RandomDataOptions dopts;
-  Database db = RandomDatabase(rng, 3, dopts);
-  RandomQueryOptions qopts;
-  qopts.num_rels = 3;
-  PlanPtr query = RandomQuery(rng, qopts, dopts);
-  QueryContext ctx;
-  ctx.cancel_token()->Cancel();
-  StatusOr<Relation> got = ExecutePullGoverned(*query, db, &ctx);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCancelled);
 }
 
 // Parallel governed execution must stay byte-identical to sequential

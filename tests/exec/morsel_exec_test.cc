@@ -206,90 +206,26 @@ TEST(MorselEdgeTest, SpillPathByteIdenticalAcrossTunings) {
   }
 }
 
-// --- Partition-stat accounting (regression) --------------------------------
+// --- Build-row accounting --------------------------------------------------
 
-// One hot key on a 1-thread run used to report partition_skew == 1.000
-// exactly: the histogram was built over `threads` partitions, so a single
-// thread meant a single partition and the report carried no information.
-// The fixed kStatFanout=16 histogram makes the 1-thread report meaningful.
-TEST(PartitionStatTest, SkewMeaningfulAtOneThread) {
-  // A left outer join builds its table on the right input; every build
-  // key is identical, so all 320 build rows land in one stat partition.
-  std::vector<Tuple> lrows, rrows;
-  for (int i = 0; i < 320; ++i) {
-    lrows.push_back({I(i % 40), I(i)});
-    rrows.push_back({I(7), I(i)});
-  }
-  Relation left = MakeRelation(
-      {{0, "a", DataType::kInt64}, {0, "b", DataType::kInt64}},
-      std::move(lrows));
-  Relation right = MakeRelation(
-      {{1, "a", DataType::kInt64}, {1, "b", DataType::kInt64}},
-      std::move(rrows));
-  ExecStats stats;
-  EvalJoin(JoinOp::kLeftOuter, EquiJoin(0, "a", 1, "a", "p01"), left, right,
-           Executor::JoinPreference::kHash, &stats, /*pool=*/nullptr);
-  EXPECT_TRUE(stats.partition_stats_seeded);
-  EXPECT_EQ(stats.partitions_built, 16);
-  EXPECT_EQ(stats.max_partition_rows, 320);  // the hot key's partition
-  EXPECT_EQ(stats.min_partition_rows, 0);
-  // All 320 rows in one of 16 partitions: skew = 320 / (320/16) = 16.
-  EXPECT_NEAR(stats.partition_skew, 16.0, 1e-9);
-}
-
-// The same query must report the same partition shape at every thread
-// count — the histogram fanout is fixed, not tied to the pool size.
-TEST(PartitionStatTest, ShapeIndependentOfThreadCount) {
+// hash_build_rows sums per-worker insert counts; with 7-row morsels every
+// worker inserts from many morsels, and the sum must still be exactly the
+// build side's non-NULL-key rows at every thread count.
+TEST(BuildStatTest, HashBuildRowsSumsEveryWorkersMorsels) {
   Relation left = SmallRel(0, 31, 200, 0.1);
-  Relation right = SmallRel(1, 37, 150, 0.1);
-  PredRef pred = EquiJoin(0, "a", 1, "a", "p01");
-  ExecStats base;
-  EvalJoin(JoinOp::kInner, pred, left, right,
-           Executor::JoinPreference::kHash, &base, /*pool=*/nullptr);
-  for (int threads : {2, 4, 8}) {
+  Relation right = SmallRel(1, 37, 150, 0.1);  // the smaller build side
+  int64_t non_null_keys = 0;
+  for (const Tuple& t : right.rows()) non_null_keys += t[1].is_null() ? 0 : 1;
+  ExecTuning tuning;
+  tuning.morsel_rows = 7;
+  for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     ExecStats stats;
-    EvalJoin(JoinOp::kInner, pred, left, right,
-             Executor::JoinPreference::kHash, &stats, &pool);
-    EXPECT_EQ(stats.partitions_built, base.partitions_built) << threads;
-    EXPECT_EQ(stats.max_partition_rows, base.max_partition_rows) << threads;
-    EXPECT_EQ(stats.min_partition_rows, base.min_partition_rows) << threads;
-    EXPECT_DOUBLE_EQ(stats.partition_skew, base.partition_skew) << threads;
+    EvalJoin(JoinOp::kInner, EquiJoin(0, "a", 1, "a", "p01"), left, right,
+             Executor::JoinPreference::kHash, &stats, &pool, nullptr,
+             &tuning);
+    EXPECT_EQ(stats.hash_build_rows, non_null_keys) << threads;
   }
-}
-
-// Regression for the first-join misfire: "is this the first build?" was
-// detected as `partitions_built == num_partitions`, which is ALSO true
-// after exactly one build — so a query's second hash join re-seeded
-// min/max instead of folding into them. The explicit seeded flag keeps
-// the min from the first join even when the second join's partitions are
-// all larger, and vice versa.
-TEST(PartitionStatTest, MinMaxFoldAcrossMultipleJoins) {
-  // First join: a left outer join builds on the right input, whose 160
-  // rows share one key -> max 160, min 0.
-  std::vector<Tuple> hot;
-  for (int i = 0; i < 160; ++i) hot.push_back({I(7), I(i)});
-  Relation hot_right = MakeRelation(
-      {{1, "a", DataType::kInt64}, {1, "b", DataType::kInt64}},
-      std::move(hot));
-  Relation probe = SmallRel(0, 41, 50, 0.0);
-  ExecStats stats;
-  EvalJoin(JoinOp::kLeftOuter, EquiJoin(0, "a", 1, "a", "p01"), probe,
-           hot_right, Executor::JoinPreference::kHash, &stats);
-  ASSERT_EQ(stats.max_partition_rows, 160);
-  ASSERT_EQ(stats.min_partition_rows, 0);
-
-  // Second join (same stats object): an evenly spread build whose own
-  // min/max are strictly inside [0, 160]. Folding must keep 0 and 160;
-  // the old heuristic re-seeded and lost both.
-  Relation spread_left = SmallRel(0, 43, 64, 0.0);
-  Relation spread_right = SmallRel(1, 47, 64, 0.0);
-  EvalJoin(JoinOp::kInner, EquiJoin(0, "a", 1, "a", "p01"), spread_left,
-           spread_right, Executor::JoinPreference::kHash, &stats);
-  EXPECT_EQ(stats.partitions_built, 32);  // two builds, 16 stat bins each
-  EXPECT_EQ(stats.max_partition_rows, 160);
-  EXPECT_EQ(stats.min_partition_rows, 0);
-  EXPECT_GE(stats.partition_skew, 16.0);  // the hot join's skew survives
 }
 
 }  // namespace

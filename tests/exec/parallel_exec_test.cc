@@ -205,7 +205,7 @@ TEST(ParallelExecutor, BuildsHashTableOnSmallerSide) {
   EXPECT_EQ(stats.hash_build_rows, 80);
 }
 
-TEST(ParallelExecutor, RecordsPartitionStats) {
+TEST(ParallelExecutor, RecordsHashBuildRows) {
   RandomDataOptions opts;
   opts.min_rows = 200;
   opts.max_rows = 200;
@@ -218,10 +218,6 @@ TEST(ParallelExecutor, RecordsPartitionStats) {
   ExecStats stats;
   EvalJoin(JoinOp::kInner, EquiJoin(0, "a", 1, "a", "p01"), left, right,
            Executor::JoinPreference::kHash, &stats, &pool);
-  // 4 threads -> at least 16 partitions, skew >= 1 by definition.
-  EXPECT_GE(stats.partitions_built, 16);
-  EXPECT_GE(stats.partition_skew, 1.0);
-  EXPECT_GE(stats.max_partition_rows, stats.min_partition_rows);
   EXPECT_EQ(stats.hash_build_rows, 200);
 }
 

@@ -233,6 +233,37 @@ TEST(CacheEntryCodecTest, TruncatedOrFlippedEntriesNeverCrash) {
   }
 }
 
+// The plan-cache file format is pinned: ecad reloads files that earlier
+// builds wrote, so the bytes of one fixed snapshot must never drift. A
+// failure here is a format change, which needs a kVersion bump and a
+// loader for the old version — not a new digest.
+TEST(CacheStoreTest, SnapshotBytesArePinned) {
+  std::string dir = TestDir("golden");
+  std::string path = dir + "/plan.cache";
+  MemoryTracker root(0, 0);
+  SharedMemo::Config config;
+  config.parent = &root;
+  SharedMemo memo(config);
+  uint64_t gen = memo.BeginQuery();
+  memo.Pin();
+  memo.Publish(101, RichPayload(), gen, true);
+  memo.Unpin();
+  Status s = CacheStore(path).WriteSnapshot(&memo, 0x5eedu);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  memo.Clear();
+
+  std::vector<unsigned char> bytes = ReadFileBytes(path);
+  uint64_t digest = 14695981039346656037ULL;  // FNV-1a, 64-bit
+  for (unsigned char b : bytes) {
+    digest ^= b;
+    digest *= 1099511628211ULL;
+  }
+  EXPECT_EQ(bytes.size(), 559u);
+  EXPECT_EQ(digest, 0xf5ea3fddda33c8a4ULL);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST(CacheStoreTest, SnapshotRoundTripWarmsAFreshMemo) {
   std::string dir = TestDir("roundtrip");
   std::string path = dir + "/plan.cache";

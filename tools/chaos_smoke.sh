@@ -84,15 +84,21 @@ start_ecad() {
 # Background query driver: keeps the daemon busy (and the crash-hit
 # counter moving) until the daemon dies. Alternates the two join shapes
 # so the first iterations publish fresh memo entries and the write-
-# behind append path gets exercised, not just the query steps.
+# behind append path gets exercised, not just the query steps. Each
+# query is followed by a pause longer than two 50 ms flush ticks, so the
+# append a query's publishes trigger takes the next hit after that
+# query's own two hits, before the next query starts: the hit count at
+# which a crash lands on the append step does not depend on how fast
+# the queries run.
 drive_queries() {
   while :; do
     "$ECACLIENT" --socket "$SOCK" query "$PLAN2" --pred "$P01" \
       --retries 0 > /dev/null 2>&1 || true
+    sleep 0.12
     "$ECACLIENT" --socket "$SOCK" query "$PLAN3" --pred "$P01" \
       --pred "$P12" --retries 0 > /dev/null 2>&1 || true
     kill -0 "$1" 2>/dev/null || break
-    sleep 0.02
+    sleep 0.12
   done
 }
 

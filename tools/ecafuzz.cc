@@ -5,21 +5,25 @@
 //
 // Each iteration derives everything from one seed: a random database, a
 // random query, a random approach (ECA / TBA / CBA), a random enumeration
-// budget and randomly armed fault-injection points. The optimized plan is
-// executed against the unoptimized query as a semantic oracle: any
-// divergence is a bug, budget or no budget, fault or no fault. Every
-// fourth iteration additionally mutates the query's plan notation and
-// feeds it through the parse -> validate -> optimize pipeline, which must
-// reject garbage with a Status, never abort.
+// budget and randomly armed fault-injection points. The optimized plan,
+// run on the executor, is checked against the unoptimized query run on
+// ExecuteNaive — the reference interpreter written from the paper's
+// operator definitions, which shares no hash, sort-merge, morsel or fused
+// code with the executor, so even a bug that corrupts every plan alike is
+// caught. Any divergence is a bug, budget or no budget, fault or no
+// fault. Fuzz databases hold at most 8 rows per table, which keeps the
+// quadratic oracle cheap. Every fourth iteration additionally mutates the
+// query's plan notation and feeds it through the parse -> validate ->
+// optimize pipeline, which must reject garbage with a Status, never abort.
 //
 // On divergence the failing configuration is minimized (faults dropped,
 // then budgets dropped) and a single-seed repro command is printed.
 //
 //   --smoke   deterministic CI profile: 200 queries, fixed seed, no
 //             wall-clock budgets (those are timing-dependent).
-//   --threads runs the optimized plan on a worker pool while the oracle
-//             side stays single-threaded, so the differential check also
-//             proves parallel execution matches sequential execution.
+//   --threads runs the optimized plan on a worker pool, so the
+//             differential check also proves parallel execution matches
+//             the reference.
 //   --enum-diff  enumerator-differential mode: no budgets and no faults;
 //             each seeded query is enumerated at 1, 2 and 4 threads and
 //             with branch-and-bound and the cost memo toggled, asserting a
@@ -32,7 +36,7 @@
 //             between trials (each trial has its own database): cached
 //             cold and warm runs must reproduce the private-memo plan
 //             cost bitwise, the warm plan must stay semantically
-//             equivalent to the query (execution oracle), and the cache
+//             equivalent to the query (naive oracle), and the cache
 //             must drain to zero tracked bytes at the end.
 //   --cache-file <path>  plan-cache corruption fuzz: the persistent-cache
 //             loader (storage/cache_store.h) must load-or-degrade — never
@@ -48,11 +52,13 @@
 //             of 8+ relations, each optimized under the named policy (dp /
 //             sizes-only / greedy / semijoin — "all" runs every policy on
 //             every workload) and executed against the unoptimized query
-//             as the multiset-identity oracle. dp runs under a fixed
-//             deterministic node budget (large join graphs are the whole
-//             point), so its degraded fallback path is exercised too; a
-//             semijoin run must apply the Yannakakis pass on at least one
-//             acyclic workload or the run fails.
+//             as the multiset-identity oracle; both sides run on the
+//             executor, since these queries are too large for the naive
+//             interpreter. dp runs under a fixed deterministic node
+//             budget (large join graphs are the whole point), so its
+//             degraded fallback path is exercised too; a semijoin run
+//             must apply the Yannakakis pass on at least one acyclic
+//             workload or the run fails.
 //   --mem-limit-mb  spilled-vs-in-memory differential: after the oracle
 //             comparison, the optimized plan is re-executed under a
 //             resource governor with the given hard limit and a
@@ -121,9 +127,7 @@ struct TrialSetup {
   Optimizer::Approach approach = Optimizer::Approach::kECA;
   bool reuse_subplans = true;
   EnumeratorBudget budget;
-  // Thread count for executing the optimized plan (--threads); the oracle
-  // side is always single-threaded, so the comparison doubles as a
-  // parallel-vs-sequential equivalence check.
+  // Thread count for executing the optimized plan (--threads).
   int exec_threads = 1;
   // Hard memory limit (MB) for the governed re-execution differential;
   // 0 disables it.
@@ -274,8 +278,7 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
     return "nodes=1 budget did not set stats.degraded";
   }
 
-  Optimizer plain;  // the oracle side always executes single-threaded
-  Relation expect = plain.Execute(*t.query, t.db);
+  Relation expect = ExecuteNaive(*t.query, t.db);
   Optimizer::Options exec_opts;
   exec_opts.num_threads = setup.exec_threads;
   if (setup.morsel_rows > 0) exec_opts.exec_tuning.morsel_rows = setup.morsel_rows;
@@ -412,9 +415,8 @@ std::string RunEnumDiff(const Trial& t, SharedMemo* cache) {
     if (!valid.ok()) {
       return "plan-cache: warm plan fails validation: " + valid.ToString();
     }
-    Optimizer plain;
-    Relation expect = plain.Execute(*t.query, t.db);
-    Relation got = plain.Execute(*warm.plan, t.db);
+    Relation expect = ExecuteNaive(*t.query, t.db);
+    Relation got = Optimizer().Execute(*warm.plan, t.db);
     if (!SameMultiset(CanonicalizeColumnOrder(expect),
                       CanonicalizeColumnOrder(got))) {
       return "plan-cache DIVERGENCE: warm cached plan result differs from "
@@ -489,7 +491,7 @@ std::string RunMutatedNotation(const Trial& t, uint64_t seed) {
   Optimizer opt;
   StatusOr<Optimizer::Optimized> best = opt.OptimizeChecked(*mutated, t.db);
   if (!best.ok()) return "";  // rejected at validation: fine
-  Relation expect = opt.Execute(*mutated, t.db);
+  Relation expect = ExecuteNaive(*mutated, t.db);
   Relation got = opt.Execute(*best->plan, t.db);
   if (!SameMultiset(CanonicalizeColumnOrder(expect),
                     CanonicalizeColumnOrder(got))) {
