@@ -7,8 +7,7 @@
 //
 //   1. asserts PLAN IDENTITY: with pruning and the cost memo on, the fast
 //      enumerator must pick a plan with exactly the reference enumerator's
-//      cost (bitwise double equality), and the plan must be byte-identical
-//      across thread counts (fingerprint + rendered text);
+//      cost (bitwise double equality);
 //   2. measures the WORK REDUCTION: cloned plan nodes + cost-model
 //      evaluations, the two quantities the fast path exists to avoid.
 //
@@ -28,8 +27,7 @@
 // The reference enumerator is exponential without pruning, so it only runs
 // up to ref_max_rels (default 8; the reuse-free basic mode stops at
 // basic_max_rels, default 7); above that the fast enumerator runs alone
-// (thread-count identity still checked) to show 9- and 10-relation queries
-// complete.
+// to show 9- and 10-relation queries complete.
 
 #include <chrono>
 #include <cstdio>
@@ -61,13 +59,6 @@ struct SizeRow {
   int64_t basic_calls = 0;
   int64_t fast_calls = 0;
   double fast_ms_t1 = 0;
-  double fast_ms_t4 = 0;
-  // Phase breakdown of the fast path (EnumeratorStats::phase_*_us): the
-  // sequential leader prefix vs the barrier-free follower pass.
-  double fast_leader_ms_t1 = 0;
-  double fast_followers_ms_t1 = 0;
-  double fast_leader_ms_t4 = 0;
-  double fast_followers_ms_t4 = 0;
   int64_t fast_clones = 0;
   int64_t fast_cost_evals = 0;
   int64_t fast_prunes = 0;
@@ -108,8 +99,8 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
   std::printf("==== Enumerator fast path vs reference (identity + work) "
               "====\n");
   std::printf("%5s %8s | %12s %12s | %10s %10s %12s | %8s %8s | %8s %8s\n",
-              "rels", "queries", "basic work", "enh work", "fast ms", "t4 ms",
-              "fast work", "red/bas", "red/enh", "prunes", "memo");
+              "rels", "queries", "basic work", "enh work", "ref ms",
+              "fast ms", "fast work", "red/bas", "red/enh", "prunes", "memo");
 
   int failures = 0;
   std::vector<SizeRow> rows;
@@ -160,7 +151,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
         }
       }
 
-      EnumeratorOptions fast;  // defaults: prune + cost memo + reuse, t=1
+      EnumeratorOptions fast;  // defaults: prune + cost memo + reuse
       TopDownEnumerator e1(&cost, fast);
       auto t0 = std::chrono::steady_clock::now();
       auto f1 = e1.Optimize(*query);
@@ -171,30 +162,11 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       row.fast_prunes += f1.stats.prunes;
       row.fast_memo_hits += f1.stats.cost_memo_hits;
       row.fast_reuses += f1.stats.reuses;
-      row.fast_leader_ms_t1 += f1.stats.phase_leader_us / 1000.0;
-      row.fast_followers_ms_t1 += f1.stats.phase_followers_us / 1000.0;
 
       if (have_ref && f1.cost != ref_cost) {
         std::printf("IDENTITY FAIL: rels=%d query=%d fast cost %.17g != "
                     "reference cost %.17g\n",
                     n, qi, f1.cost, ref_cost);
-        ++failures;
-      }
-
-      EnumeratorOptions par = fast;
-      par.num_threads = 4;
-      TopDownEnumerator e4(&cost, par);
-      t0 = std::chrono::steady_clock::now();
-      auto f4 = e4.Optimize(*query);
-      row.fast_ms_t4 += MsSince(t0);
-      row.fast_leader_ms_t4 += f4.stats.phase_leader_us / 1000.0;
-      row.fast_followers_ms_t4 += f4.stats.phase_followers_us / 1000.0;
-      if (f4.cost != f1.cost ||
-          PlanFingerprint(*f4.plan) != PlanFingerprint(*f1.plan) ||
-          f4.plan->ToString() != f1.plan->ToString()) {
-        std::printf("IDENTITY FAIL: rels=%d query=%d threads=4 plan differs "
-                    "from threads=1\n",
-                    n, qi);
         ++failures;
       }
 
@@ -233,7 +205,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       }
     }
 
-    char basic_work[32], enh_work[32], red_bas[16], red_enh[16];
+    char basic_work[32], enh_work[32], ref_ms[16], red_bas[16], red_enh[16];
     if (row.basic_ran) {
       std::snprintf(basic_work, sizeof(basic_work), "%lld",
                     static_cast<long long>(row.BasicWork()));
@@ -246,16 +218,18 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
     if (row.ref_ran) {
       std::snprintf(enh_work, sizeof(enh_work), "%lld",
                     static_cast<long long>(row.RefWork()));
+      std::snprintf(ref_ms, sizeof(ref_ms), "%.1f", row.ref_ms);
       std::snprintf(red_enh, sizeof(red_enh), "%.1fx",
                     row.WorkReductionEnhanced());
     } else {
       std::snprintf(enh_work, sizeof(enh_work), "-");
+      std::snprintf(ref_ms, sizeof(ref_ms), "-");
       std::snprintf(red_enh, sizeof(red_enh), "-");
     }
-    std::printf("%5d %8d | %12s %12s | %10.1f %10.1f %12lld | %8s %8s | "
+    std::printf("%5d %8d | %12s %12s | %10s %10.1f %12lld | %8s %8s | "
                 "%8lld %8lld\n",
-                n, queries, basic_work, enh_work, row.fast_ms_t1,
-                row.fast_ms_t4, static_cast<long long>(row.FastWork()),
+                n, queries, basic_work, enh_work, ref_ms, row.fast_ms_t1,
+                static_cast<long long>(row.FastWork()),
                 red_bas, red_enh, static_cast<long long>(row.fast_prunes),
                 static_cast<long long>(row.fast_memo_hits));
     rows.push_back(row);
@@ -325,9 +299,6 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           "\"basic_ms\": %s, \"basic_cloned_nodes\": %s, "
           "\"basic_cost_evals\": %s, \"basic_subplan_calls\": %s, "
           "\"fast_ms_t1\": %.2f, "
-          "\"fast_ms_t4\": %.2f, "
-          "\"fast_leader_ms_t1\": %.2f, \"fast_followers_ms_t1\": %.2f, "
-          "\"fast_leader_ms_t4\": %.2f, \"fast_followers_ms_t4\": %.2f, "
           "\"fast_cloned_nodes\": %lld, "
           "\"fast_cost_evals\": %lld, \"fast_subplan_calls\": %lld, "
           "\"fast_prunes\": %lld, "
@@ -345,9 +316,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           opt_i(b[6], sizeof(b[6]), r.basic_ran, r.basic_clones),
           opt_i(b[7], sizeof(b[7]), r.basic_ran, r.basic_cost_evals),
           opt_i(b[8], sizeof(b[8]), r.basic_ran, r.basic_calls),
-          r.fast_ms_t1, r.fast_ms_t4, r.fast_leader_ms_t1,
-          r.fast_followers_ms_t1, r.fast_leader_ms_t4,
-          r.fast_followers_ms_t4, static_cast<long long>(r.fast_clones),
+          r.fast_ms_t1, static_cast<long long>(r.fast_clones),
           static_cast<long long>(r.fast_cost_evals),
           static_cast<long long>(r.fast_calls),
           static_cast<long long>(r.fast_prunes),

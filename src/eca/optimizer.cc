@@ -104,7 +104,6 @@ Optimizer::Optimized Optimizer::Optimize(const Plan& query,
   EnumeratorOptions opts;
   opts.policy = policy();
   opts.reuse_subplans = options_.reuse_subplans;
-  opts.num_threads = options_.num_threads;
   opts.budget = options_.budget;
   opts.shared_memo = options_.plan_cache;
   TopDownEnumerator enumerator(&cost, opts);

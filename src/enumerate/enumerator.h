@@ -73,21 +73,13 @@ struct EnumeratorOptions {
   // the repeated costings of identical subtrees during the pair loop and
   // branch-and-bound checks hit a hash map instead of the cost model.
   bool cost_memo = true;
-  // Worker threads for the top-level joinable-pair loop. The chosen plan is
-  // byte-identical for every value (each root pair is searched as an
-  // isolated task; results merge deterministically).
+  // Ignored: the search is sequential and nothing reads this field. It
+  // stays declared only so that callers which still assign it compile.
   int num_threads = 1;
   // Cycle guard: maximum SwapUp chain length while positioning one join.
   // Exceeding it abandons the decomposition and increments
   // EnumeratorStats::swap_chain_guard_trips.
   int max_swap_chain = 128;
-  // Spin up the worker pool for the follower pairs only when the
-  // sequential leader prefix took at least this long — queries that finish
-  // in a millisecond cannot amortize thread creation. The chosen plan is
-  // identical either way (scheduling never affects plan bytes); <= 0
-  // always fans out when num_threads > 1 (used by stress tests to force
-  // real concurrency).
-  int64_t pool_spinup_us = 1500;
   // TESTING ONLY: degrade every memo signature to a single value so that
   // distinct ext-d-edge key vectors collide in one bucket — exercises the
   // stored-full-key verification that keeps 64-bit collisions sound.
@@ -95,11 +87,10 @@ struct EnumeratorOptions {
   // Cross-query plan cache (enumerate/shared_memo.h). When set, proven
   // subplans are published into / probed from this table, so a repeated
   // structurally-identical query under the same stats epoch reuses them
-  // instead of re-enumerating. When null, Optimize uses a private
-  // per-query table (the tasks of one query still share it). The caller
-  // owns the memo and must keep it alive across the call; Optimize pins
-  // it for the duration of the enumeration. Ignored (forced private
-  // semantics) under unsafe_ignore_dedges.
+  // instead of re-enumerating. When null, the search's own local memo is
+  // the only one. The caller owns the cache and must keep it alive across
+  // the call; Optimize pins it for the duration of the enumeration.
+  // Ignored under unsafe_ignore_dedges.
   SharedMemo* shared_memo = nullptr;
   // Resource limits; default unlimited (exhaustive enumeration).
   EnumeratorBudget budget;
@@ -130,13 +121,6 @@ struct EnumeratorStats {
   // did not — rejected grafts that a signature-only memo would have
   // performed unsoundly.
   int64_t sig_collisions = 0;
-  // Root-level joinable pairs searched as (potentially parallel) tasks.
-  int64_t root_tasks = 0;
-  // Phase timing breakdown (bench_enumerator_perf): the sequential leader
-  // pass over root pair 0, and the barrier-free follower pass over the
-  // remaining pairs. Wall-clock microseconds, informational only.
-  int64_t phase_leader_us = 0;
-  int64_t phase_followers_us = 0;
   // True when the search was cut short (budget or injected fault): the
   // returned plan is correct but possibly not the enumeration optimum.
   bool degraded = false;
@@ -160,9 +144,9 @@ struct EnumeratorStats {
 // The search is clone-light (per-decomposition state is snapshot/restored
 // in place of whole-plan deep copies), memoized ((relation set, 64-bit
 // ext-d-edge signature) -> optimal subtree, with the full key stored for
-// collision verification), branch-and-bound pruned, and parallel across
-// root-level joinable pairs — all while selecting the same plan the plain
-// exhaustive loop selects (docs/performance.md, bench_enumerator_perf).
+// collision verification) and branch-and-bound pruned — all while
+// selecting the same plan the plain exhaustive loop selects
+// (docs/performance.md, bench_enumerator_perf).
 class TopDownEnumerator {
  public:
   TopDownEnumerator(const CostModel* cost_model, EnumeratorOptions options)

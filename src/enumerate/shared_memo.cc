@@ -12,8 +12,8 @@ namespace eca {
 namespace {
 
 // memo.* metric catalog (docs/performance.md). Registered once; the hot
-// probe path never touches these directly — tasks accumulate locally and
-// fold in via AccumulateProbeStats.
+// probe path never touches these directly — each search accumulates
+// locally and folds in via AccumulateProbeStats.
 struct MemoCounters {
   Counter* probes;
   Counter* hits;
@@ -62,7 +62,7 @@ bool ProbeMatches(const MemoProbe& probe, const MemoPayload& p) {
       p.query_fp != probe.query_fp || !(p.s == probe.s)) {
     return false;
   }
-  return probe.ignore_ext || p.ext_keys == *probe.ext_keys;
+  return p.ext_keys == *probe.ext_keys;
 }
 
 }  // namespace
@@ -94,14 +94,11 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
   stats->probes++;
   MemoNode* best_node = nullptr;
   const MemoPayload* best = nullptr;
-  MemoNode* oldest_s = nullptr;  // ablation: first-stored s-match
   for (MemoNode* n = table_.Find(probe.map_key); n != nullptr;
        n = n->next.load(std::memory_order_acquire)) {
-    // Determinism-critical visibility: earlier completed generations and
-    // this generation's leader only. A task's own entries live in its
-    // task-local map, so sibling-task timing can never change what a
-    // probe observes (see the class comment).
-    if (!(n->gen < gen || (n->gen == gen && n->leader))) continue;
+    // Earlier generations only: the probing query's own entries live in
+    // its local memo (see the class comment).
+    if (n->gen >= gen) continue;
     const MemoPayload& p = *n->payload;
     if (!ProbeMatches(probe, p)) {
       // Same map key, different full key: hash collision (forced by the
@@ -112,30 +109,11 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
       }
       continue;
     }
-    if (probe.ignore_ext) {
-      oldest_s = n;  // chain is newest-first; the last match is oldest
-      continue;
-    }
     // `<=` walking newest-to-oldest leaves the OLDEST minimum as winner,
     // reproducing the sequential first-stored-wins tie order.
     if (best == nullptr || p.cost <= best->cost) {
       best = &p;
       best_node = n;
-    }
-  }
-  if (probe.ignore_ext && oldest_s != nullptr) {
-    // Emulate the sequential ablation exactly: the first-stored s-match
-    // wins, updated in place whenever a cheaper entry with its exact key
-    // was stored later.
-    for (MemoNode* n = table_.Find(probe.map_key); n != nullptr;
-         n = n->next.load(std::memory_order_acquire)) {
-      if (!(n->gen < gen || (n->gen == gen && n->leader))) continue;
-      const MemoPayload& p = *n->payload;
-      if (!SameFullKey(p, *oldest_s->payload)) continue;
-      if (best == nullptr || p.cost <= best->cost) {
-        best = &p;
-        best_node = n;
-      }
     }
   }
   if (best != nullptr) {
@@ -147,7 +125,7 @@ const MemoPayload* SharedMemo::Find(const MemoProbe& probe, uint64_t gen,
 
 MemoPublishResult SharedMemo::Publish(
     uint64_t map_key, std::shared_ptr<const MemoPayload> payload,
-    uint64_t gen, bool leader) {
+    uint64_t gen) {
   const MemoPayload& pl = *payload;
   if (max_bytes_ > 0 &&
       used_bytes_.load(std::memory_order_relaxed) + pl.bytes > max_bytes_) {
@@ -194,7 +172,6 @@ MemoPublishResult SharedMemo::Publish(
       }
       node = new MemoNode;
       node->gen = gen;
-      node->leader = leader;
       node->last_used.store(gen, std::memory_order_relaxed);
       node->payload = std::move(payload);
     }
@@ -249,7 +226,7 @@ MemoPublishResult SharedMemo::Import(
     uint64_t map_key, std::shared_ptr<const MemoPayload> payload) {
   Pin();
   MemoPublishResult result =
-      Publish(map_key, std::move(payload), /*gen=*/0, /*leader=*/false);
+      Publish(map_key, std::move(payload), /*gen=*/0);
   Unpin();
   return result;
 }

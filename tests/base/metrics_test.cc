@@ -215,5 +215,30 @@ TEST(RegistryConsistencyTest, EnumeratorDeltaMatchesEnumeratorStats) {
   EXPECT_EQ(CounterDelta(diff, "enum.degraded_runs"), s.degraded ? 1 : 0);
 }
 
+// Without a plan cache the search's local memo is the only subplan memo,
+// and memo.probes / memo.hits must still count its probes: a hit is
+// exactly a reuse.
+TEST(RegistryConsistencyTest, MemoProbeCountersWithoutPlanCache) {
+  Rng rng(515151);
+  RandomDataOptions dopts;
+  dopts.max_rows = 16;
+  RandomQueryOptions qopts;
+  qopts.num_rels = 5;
+  Database db = RandomDatabase(rng, qopts.num_rels, dopts);
+  PlanPtr query = RandomQuery(rng, qopts, dopts);
+  ASSERT_NE(query, nullptr);
+
+  CostModel cost = CostModel::FromDatabase(db);
+  TopDownEnumerator enumerator(&cost, EnumeratorOptions{});
+  MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  TopDownEnumerator::Result result = enumerator.Optimize(*query);
+  MetricsSnapshot diff = MetricsRegistry::Global().Snapshot().DiffSince(before);
+
+  ASSERT_NE(result.plan, nullptr);
+  EXPECT_GT(result.stats.reuses, 0);
+  EXPECT_GT(CounterDelta(diff, "memo.probes"), 0);
+  EXPECT_EQ(CounterDelta(diff, "memo.hits"), result.stats.reuses);
+}
+
 }  // namespace
 }  // namespace eca

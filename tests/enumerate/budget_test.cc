@@ -6,6 +6,7 @@
 
 #include "eca/optimizer.h"
 #include "enumerate/enumerator.h"
+#include "enumerate/shared_memo.h"
 #include "exec/query_context.h"
 #include "testing/fault_injection.h"
 #include "testing/random_data.h"
@@ -128,12 +129,11 @@ TEST(BudgetTest, WallClockDeadlineDegrades) {
 
 // Deterministic wall-clock degradation via the fault clock: every NowMs
 // observation advances fake time 1ms, so the deadline trips after a fixed
-// number of budget checks — no sleeping, no flakiness. The deadline is
-// observed both inside root tasks and at the wave barriers of the
-// parallel schedule, so every thread count must degrade to a valid plan:
-// kWallClock when a complete best-so-far plan survived the deadline,
-// kSizesOnlyFallback when none did and the sizes-only reroute produced
-// the order instead.
+// number of budget checks — no sleeping, no flakiness. The enumeration
+// is sequential; the thread count drives only the executor that runs the
+// degraded plan, which must be valid at every count: kWallClock when a
+// complete best-so-far plan survived the deadline, kSizesOnlyFallback
+// when none did and the sizes-only reroute produced the order instead.
 TEST(BudgetTest, FaultClockDeadlineDegradesAtEveryThreadCount) {
   Fixture f = MakeFixture(5, 6);
   Relation direct = Optimizer().Execute(*f.query, f.db);
@@ -237,6 +237,38 @@ TEST(FaultInjectedOptimizeTest, MidSearchFaultKeepsBestSoFar) {
     ExpectSameRelation(direct, faulted, "mid-search fault");
   }
   FaultInjector::Reset();
+}
+
+// A budget-tripped search must not publish its truncated subplans: the
+// plan cache would hand them to later, undegraded runs of the same query,
+// which would then settle for a costlier plan than a cold run finds. Each
+// query is enumerated under several node caps into a fresh cache, then
+// again without a cap into that same cache; the warm run must cost
+// exactly what a cold run costs.
+TEST(BudgetTest, TrippedSearchDoesNotPoisonThePlanCache) {
+  int compared = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    Fixture f = MakeFixture(seed, 6 + seed % 3);
+    CostModel cost = CostModel::FromDatabase(f.db);
+    const double cold =
+        TopDownEnumerator(&cost, EnumeratorOptions{}).Optimize(*f.query).cost;
+    for (int64_t cap : {20, 60, 150, 400}) {
+      SharedMemo cache;
+      EnumeratorOptions capped;
+      capped.shared_memo = &cache;
+      capped.budget.max_enumerated_nodes = cap;
+      if (!TopDownEnumerator(&cost, capped).Optimize(*f.query).stats.degraded) {
+        continue;
+      }
+      EnumeratorOptions uncapped;
+      uncapped.shared_memo = &cache;
+      auto warm = TopDownEnumerator(&cost, uncapped).Optimize(*f.query);
+      EXPECT_FALSE(warm.stats.degraded);
+      EXPECT_EQ(warm.cost, cold) << "seed " << seed << " cap " << cap;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Tests for the enumerator fast paths: the swap-chain cycle guard, the
 // hashed (fingerprinted) memo with stored-full-key collision verification,
-// branch-and-bound pruning, the subtree cost memo, and parallel root
-// enumeration. The unifying contract: none of them may change the chosen
-// plan — the fast search returns exactly what the plain exhaustive loop
-// returns, at any thread count.
+// branch-and-bound pruning and the subtree cost memo. The unifying
+// contract: none of them may change the chosen plan — the fast search
+// returns exactly what the plain exhaustive loop returns.
 
 #include <gtest/gtest.h>
 
@@ -124,42 +123,6 @@ TEST(EnumFastPathTest, ForcedSignatureCollisionsRejectedByFullKey) {
   // signatures (the same population the d-edge reuse tests draw from), so
   // forcing them into one bucket must produce verified-and-rejected probes.
   EXPECT_GT(collisions, 0);
-}
-
-TEST(EnumFastPathTest, ParallelRootEnumerationIsByteIdentical) {
-  bool saw_parallel_work = false;
-  for (int seed = 0; seed < 20; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed) * 97 + 5);
-    RandomDataOptions dopts;
-    RandomQueryOptions qopts;
-    qopts.num_rels = 5 + seed % 2;
-    Database db = RandomDatabase(rng, qopts.num_rels, dopts);
-    PlanPtr query = RandomQuery(rng, qopts, dopts);
-    CostModel cost = CostModel::FromDatabase(db);
-
-    EnumeratorOptions sequential;
-    TopDownEnumerator s(&cost, sequential);
-    auto base = s.Optimize(*query);
-    ASSERT_NE(base.plan, nullptr);
-    if (base.stats.root_tasks > 1) saw_parallel_work = true;
-
-    for (int threads : {2, 4}) {
-      EnumeratorOptions parallel = sequential;
-      parallel.num_threads = threads;
-      TopDownEnumerator p(&cost, parallel);
-      auto result = p.Optimize(*query);
-      ASSERT_NE(result.plan, nullptr);
-      EXPECT_EQ(result.cost, base.cost)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(result.plan->ToString(), base.plan->ToString())
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(PlanFingerprint(*result.plan), PlanFingerprint(*base.plan))
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-  // The sweep must actually exercise multi-pair roots, or the checks above
-  // prove nothing about the merge.
-  EXPECT_TRUE(saw_parallel_work);
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST(CacheStoreTest, SnapshotBytesArePinned) {
   SharedMemo memo(config);
   uint64_t gen = memo.BeginQuery();
   memo.Pin();
-  memo.Publish(101, RichPayload(), gen, true);
+  memo.Publish(101, RichPayload(), gen);
   memo.Unpin();
   Status s = CacheStore(path).WriteSnapshot(&memo, 0x5eedu);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -277,9 +277,9 @@ TEST(CacheStoreTest, SnapshotRoundTripWarmsAFreshMemo) {
     SharedMemo memo(config);
     uint64_t gen = memo.BeginQuery();
     memo.Pin();
-    memo.Publish(101, rich, gen, true);
-    memo.Publish(202, LeafPayload(1, 7.0), gen, true);
-    memo.Publish(303, LeafPayload(2, 9.0), gen, true);
+    memo.Publish(101, rich, gen);
+    memo.Publish(202, LeafPayload(1, 7.0), gen);
+    memo.Publish(303, LeafPayload(2, 9.0), gen);
     memo.Unpin();
     CacheStore store(path);
     Status s = store.WriteSnapshot(&memo, catalog_fp);
@@ -329,7 +329,7 @@ TEST(CacheStoreTest, AppendNewPersistsOnlyNewEntries) {
 
   uint64_t gen = memo.BeginQuery();
   memo.Pin();
-  memo.Publish(11, LeafPayload(1, 7.0), gen, true);
+  memo.Publish(11, LeafPayload(1, 7.0), gen);
   memo.Unpin();
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
   ASSERT_TRUE(fs::exists(store.log_path()));
@@ -342,7 +342,7 @@ TEST(CacheStoreTest, AppendNewPersistsOnlyNewEntries) {
 
   gen = memo.BeginQuery();
   memo.Pin();
-  memo.Publish(22, LeafPayload(2, 9.0), gen, true);
+  memo.Publish(22, LeafPayload(2, 9.0), gen);
   memo.Unpin();
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
   EXPECT_GT(fs::file_size(store.log_path()), after_first);
@@ -378,9 +378,9 @@ TEST(CacheStoreTest, TruncationSweepAtEveryOffsetLoadsOrDegrades) {
   SharedMemo source;
   uint64_t gen = source.BeginQuery();
   source.Pin();
-  source.Publish(101, RichPayload(), gen, true);
-  source.Publish(202, LeafPayload(1, 7.0), gen, true);
-  source.Publish(303, LeafPayload(2, 9.0), gen, true);
+  source.Publish(101, RichPayload(), gen);
+  source.Publish(202, LeafPayload(1, 7.0), gen);
+  source.Publish(303, LeafPayload(2, 9.0), gen);
   source.Unpin();
   CacheStore writer(path);
   ASSERT_TRUE(writer.WriteSnapshot(&source, catalog_fp).ok());
@@ -433,8 +433,8 @@ TEST(CacheStoreTest, TornLogIsTruncatedAndStaysAppendable) {
   ASSERT_TRUE(store.WriteSnapshot(&memo, catalog_fp).ok());
   uint64_t gen = memo.BeginQuery();
   memo.Pin();
-  memo.Publish(11, LeafPayload(1, 7.0), gen, true);
-  memo.Publish(22, LeafPayload(2, 9.0), gen, true);
+  memo.Publish(11, LeafPayload(1, 7.0), gen);
+  memo.Publish(22, LeafPayload(2, 9.0), gen);
   memo.Unpin();
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
 
@@ -460,7 +460,7 @@ TEST(CacheStoreTest, TornLogIsTruncatedAndStaysAppendable) {
   // after the repaired tail and the whole file stays loadable.
   gen = recovered.BeginQuery();
   recovered.Pin();
-  recovered.Publish(33, LeafPayload(3, 11.0), gen, true);
+  recovered.Publish(33, LeafPayload(3, 11.0), gen);
   recovered.Unpin();
   ASSERT_TRUE(reloaded.AppendNew(&recovered, catalog_fp).ok());
   SharedMemo final_memo;
@@ -481,7 +481,7 @@ TEST(CacheStoreTest, StaleEpochEntriesAreDiscardedOnLoad) {
   SharedMemo source;
   uint64_t gen = source.BeginQuery();
   source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen, true);
+  source.Publish(11, LeafPayload(1, 7.0), gen);
   source.Unpin();
   ASSERT_TRUE(CacheStore(path).WriteSnapshot(&source, catalog_fp).ok());
 
@@ -505,7 +505,7 @@ TEST(CacheStoreTest, WrongCatalogFingerprintDiscardsTheFile) {
   SharedMemo source;
   uint64_t gen = source.BeginQuery();
   source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen, true);
+  source.Publish(11, LeafPayload(1, 7.0), gen);
   source.Unpin();
   ASSERT_TRUE(CacheStore(path).WriteSnapshot(&source, 0x5eedu).ok());
 
@@ -551,7 +551,7 @@ TEST(CacheStoreTest, CacheIoFaultsFailWritesCleanlyAndDegradeLoads) {
   SharedMemo source;
   uint64_t gen = source.BeginQuery();
   source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen, true);
+  source.Publish(11, LeafPayload(1, 7.0), gen);
   source.Unpin();
 
   // Every early fault site in the snapshot path: the write fails with a

@@ -14,6 +14,9 @@ Two classes of checks:
   * identity metrics (identity_pass, per-row "identical", row counts)
     must hold EXACTLY -- a reordered or spilled plan that stops producing
     the direct plan's multiset is a correctness bug, not a regression;
+  * bench_enumerator_perf's fast_ms_t1 / ref_ms geomean at 6-8 rels must
+    stay <= 1.05: a within-run ratio against the in-binary reference
+    enumerator, so it cancels machine speed;
   * work-reduction metrics (bench_enumerator_perf's work_reduction /
     work_reduction_enhanced) and parallel_exec's per-thread-count speedup
     geomean (across workloads) may not drop by more than --max-regress
@@ -37,16 +40,17 @@ import sys
 PASS = "ok"
 FAIL = "FAIL"
 
-# bench_enumerator_perf parallel-overhead gate: geometric mean of
-# fast_ms_t4 / fast_ms_t1 over the candidate's rows with rels >=
-# ENUM_RATIO_MIN_RELS must stay at or below this. The ratio is measured
-# within one run, so it cancels machine speed: 1.0 means 4 threads cost
-# nothing over 1 (the barrier-free scheduler's contract on a small host),
-# anything well above it means per-query thread spin-up or cross-task
-# synchronization crept back in. Small queries amortize nothing and are
-# all scheduling noise, so the gate starts where enumeration time does.
-ENUM_T4_T1_LIMIT = 1.05
-ENUM_RATIO_MIN_RELS = 7
+# bench_enumerator_perf wall-clock gate: geometric mean of
+# fast_ms_t1 / ref_ms over the candidate's rows with ENUM_RATIO_MIN_RELS
+# <= rels <= ENUM_RATIO_MAX_RELS must stay at or below this. Both timings
+# come from the same run on the same queries, so the ratio cancels machine
+# speed: the production enumerator must not lose to the sequential
+# reference it replaced (bench/enum_reference.cc). Below 6 relations a
+# query takes about a millisecond and the ratio is timer noise; above 8
+# the reference does not run.
+ENUM_FAST_REF_LIMIT = 1.05
+ENUM_RATIO_MIN_RELS = 6
+ENUM_RATIO_MAX_RELS = 8
 
 # bench_policy planning-time gates: the cheap policies must stay under a
 # fixed fraction of DP's planning time, summed over the rows where both
@@ -128,24 +132,25 @@ def check_enum(c, base, cand, max_regress):
     missing = set(base_rows) - {r["rels"] for r in cand["rows"]}
     c.gate(f"all baseline rel counts present (missing: {sorted(missing)})", not missing)
 
-    # Parallel-overhead gate (candidate-only; see ENUM_T4_T1_LIMIT above).
+    # Fast-vs-reference gate (candidate-only; see ENUM_FAST_REF_LIMIT above).
+    span = f"{ENUM_RATIO_MIN_RELS}<=rels<={ENUM_RATIO_MAX_RELS}"
     ratios = [
-        row["fast_ms_t4"] / row["fast_ms_t1"]
+        row["fast_ms_t1"] / row["ref_ms"]
         for row in cand["rows"]
-        if row["rels"] >= ENUM_RATIO_MIN_RELS
+        if ENUM_RATIO_MIN_RELS <= row["rels"] <= ENUM_RATIO_MAX_RELS
         and row.get("fast_ms_t1")
-        and row.get("fast_ms_t4")
+        and row.get("ref_ms")
     ]
     if ratios:
         g = geomean(ratios)
         c.gate(
-            f"t4/t1 geomean over {len(ratios)} row(s) with rels>="
-            f"{ENUM_RATIO_MIN_RELS}: {g:.3f}",
-            g <= ENUM_T4_T1_LIMIT,
-            f"(limit {ENUM_T4_T1_LIMIT})",
+            f"fast_ms_t1/ref_ms geomean over {len(ratios)} row(s) with "
+            f"{span}: {g:.3f}",
+            g <= ENUM_FAST_REF_LIMIT,
+            f"(limit {ENUM_FAST_REF_LIMIT})",
         )
     else:
-        c.info(f"no rows with rels>={ENUM_RATIO_MIN_RELS}; t4/t1 gate skipped")
+        c.info(f"no reference rows with {span}; fast/ref gate skipped")
 
 
 def geomean(values):

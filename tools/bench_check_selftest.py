@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Self-test for the bench_check.py policy gate.
+"""Self-test for the bench_check.py policy and enumerator gates.
 
-Runs bench_check.py against the committed BENCH_policy.json twice over:
-once with the baseline as its own candidate (a fresh passing run must exit
-0), then once per doctored candidate simulating a regression each gate
-exists to catch (must exit 1). Registered as the bench_check_selftest
-ctest so a refactor of the checker that silently stops failing bad input
-is itself a test failure.
+Runs bench_check.py against each committed baseline twice over: once with
+the baseline as its own candidate (a fresh passing run must exit 0), then
+once per doctored candidate simulating a regression each gate exists to
+catch (must exit 1). Registered as the bench_check_selftest ctest so a
+refactor of the checker that silently stops failing bad input is itself a
+test failure.
 
 Usage: bench_check_selftest.py <bench_check.py> <BENCH_policy.json>
+                               <BENCH_enum.json>
 """
 
 import copy
@@ -45,28 +46,16 @@ def run_check(check_py, baseline, candidate_obj):
         os.unlink(path)
 
 
-def main(argv):
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    check_py, baseline = argv
-    with open(baseline) as f:
+def load(path, bench):
+    with open(path) as f:
         fresh = json.load(f)
-    if fresh.get("bench") != "bench_policy":
-        print(f"selftest: {baseline} is not a bench_policy JSON", file=sys.stderr)
-        return 2
+    if fresh.get("bench") != bench:
+        print(f"selftest: {path} is not a {bench} JSON", file=sys.stderr)
+        return None
+    return fresh
 
-    failures = 0
 
-    def expect(label, candidate, want_rc):
-        nonlocal failures
-        rc, out = run_check(check_py, baseline, candidate)
-        ok = rc == want_rc
-        if not ok:
-            failures += 1
-            print(out)
-        print(f"  [{'ok' if ok else 'FAIL'}] {label}: exit {rc} (want {want_rc})")
-
+def policy_cases(fresh, expect):
     expect("fresh run passes", fresh, 0)
 
     # Each doctored candidate flips exactly one contract the gate guards.
@@ -108,6 +97,50 @@ def main(argv):
     d = copy.deepcopy(fresh)
     d["rows"] = d["rows"][1:]
     expect("missing baseline row fails", d, 1)
+
+
+def enum_cases(fresh, expect):
+    expect("fresh run passes", fresh, 0)
+
+    d = copy.deepcopy(fresh)
+    for r in d["rows"]:
+        # An enumerator 30% slower than the in-binary reference at every
+        # size: the within-run fast/ref gate must catch it.
+        if r.get("ref_ms"):
+            r["fast_ms_t1"] = 1.3 * r["ref_ms"]
+    expect("fast_ms_t1 = 1.3 x ref_ms fails", d, 1)
+
+    d = copy.deepcopy(fresh)
+    d["identity_pass"] = False
+    expect("identity_pass=false fails", d, 1)
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    check_py, policy_json, enum_json = argv
+    suites = [
+        (policy_json, "bench_policy", policy_cases),
+        (enum_json, "bench_enumerator_perf", enum_cases),
+    ]
+    failures = 0
+    for baseline, bench, cases in suites:
+        fresh = load(baseline, bench)
+        if fresh is None:
+            return 2
+        print(f"{bench}:")
+
+        def expect(label, candidate, want_rc, baseline=baseline):
+            nonlocal failures
+            rc, out = run_check(check_py, baseline, candidate)
+            ok = rc == want_rc
+            if not ok:
+                failures += 1
+                print(out)
+            print(f"  [{'ok' if ok else 'FAIL'}] {label}: exit {rc} (want {want_rc})")
+
+        cases(fresh, expect)
 
     print(f"bench_check_selftest: {failures} failure(s)")
     return 0 if failures == 0 else 1

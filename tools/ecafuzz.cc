@@ -25,19 +25,19 @@
 //             differential check also proves parallel execution matches
 //             the reference.
 //   --enum-diff  enumerator-differential mode: no budgets and no faults;
-//             each seeded query is enumerated at 1, 2 and 4 threads and
-//             with branch-and-bound and the cost memo toggled, asserting a
-//             byte-identical plan (cost and structural fingerprint), plus
-//             reuse on/off, asserting an identical plan cost. Threaded
-//             variants force the worker pool on (pool_spinup_us = 0), so
-//             the identity claim is exercised under real concurrency.
+//             each seeded query is enumerated with branch-and-bound and
+//             the cost memo toggled, asserting a byte-identical plan
+//             (cost and structural fingerprint), plus reuse on/off,
+//             asserting an identical plan cost.
 //   --plan-cache  (with --enum-diff) routes every trial through one
 //             shared cross-query SharedMemo, advancing its stats epoch
-//             between trials (each trial has its own database): cached
-//             cold and warm runs must reproduce the private-memo plan
-//             cost bitwise, the warm plan must stay semantically
-//             equivalent to the query (naive oracle), and the cache
-//             must drain to zero tracked bytes at the end.
+//             between trials (each trial has its own database). A cold
+//             cached run, then 4 concurrent sessions warm against it,
+//             then 4 concurrent sessions racing cold under a fresh epoch
+//             must all reproduce the private-memo plan cost bitwise; each
+//             concurrent plan must stay semantically equivalent to the
+//             query (naive oracle), and the cache must drain to zero
+//             tracked bytes at the end.
 //   --cache-file <path>  plan-cache corruption fuzz: the persistent-cache
 //             loader (storage/cache_store.h) must load-or-degrade — never
 //             crash, never fail the caller, never unbalance the memory
@@ -76,6 +76,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -332,51 +333,43 @@ std::string RunTrial(const Trial& t, const TrialSetup& setup,
 }
 
 // Enumerator-differential round: the same query enumerated with the fast
-// paths toggled one by one, with no budgets and no faults. Parallel root
-// enumeration, branch-and-bound and the cost memo all promise a
-// byte-identical plan; subplan reuse promises an identical plan cost
-// (Theorem 5.4 guards its soundness, and in practice it is plan-identical
-// too — but the cost is the contract). Any difference is a bug.
+// paths toggled one by one, with no budgets and no faults. Branch-and-bound
+// and the cost memo both promise a byte-identical plan; subplan reuse
+// promises an identical plan cost (Theorem 5.4 guards its soundness, and
+// in practice it is plan-identical too — but the cost is the contract).
+// Any difference is a bug.
 std::string RunEnumDiff(const Trial& t, SharedMemo* cache) {
   CostModel cost = CostModel::FromDatabase(t.db);
   SwapPolicy policy = SwapPolicy::kECA;
   if (t.setup.approach == Optimizer::Approach::kTBA) policy = SwapPolicy::kTBA;
   if (t.setup.approach == Optimizer::Approach::kCBA) policy = SwapPolicy::kCBA;
-  auto run = [&](int threads, bool reuse, bool prune, bool cost_memo,
+  auto run = [&](bool reuse, bool prune, bool cost_memo,
                  SharedMemo* memo = nullptr) {
     EnumeratorOptions o;
     o.policy = policy;
     o.reuse_subplans = reuse;
     o.prune = prune;
     o.cost_memo = cost_memo;
-    o.num_threads = threads;
-    // Always fan the pool out: queries this small would otherwise stay on
-    // the sequential fast path and never exercise real concurrency.
-    o.pool_spinup_us = 0;
     o.shared_memo = memo;
     TopDownEnumerator e(&cost, o);
     return e.Optimize(*t.query);
   };
-  TopDownEnumerator::Result base = run(1, true, true, true);
+  TopDownEnumerator::Result base = run(true, true, true);
   if (base.plan == nullptr) return "enum-diff: null plan from the baseline";
   const uint64_t base_fp = PlanFingerprint(*base.plan);
 
   struct Variant {
     const char* name;
-    int threads;
     bool reuse, prune, cost_memo;
     bool plan_identical;  // else: cost-identical only
   };
   const Variant variants[] = {
-      {"threads=2", 2, true, true, true, true},
-      {"threads=4", 4, true, true, true, true},
-      {"no-prune", 1, true, false, true, true},
-      {"no-cost-memo", 1, true, true, false, true},
-      {"no-reuse", 1, false, true, true, false},
+      {"no-prune", true, false, true, true},
+      {"no-cost-memo", true, true, false, true},
+      {"no-reuse", false, true, true, false},
   };
   for (const Variant& v : variants) {
-    TopDownEnumerator::Result r = run(v.threads, v.reuse, v.prune,
-                                      v.cost_memo);
+    TopDownEnumerator::Result r = run(v.reuse, v.prune, v.cost_memo);
     if (r.plan == nullptr) {
       return std::string("enum-diff: null plan from ") + v.name;
     }
@@ -391,37 +384,48 @@ std::string RunEnumDiff(const Trial& t, SharedMemo* cache) {
 
   if (cache != nullptr) {
     // Cross-query plan-cache differential: a cold cached run must land on
-    // the private-memo cost bitwise; so must a warm 4-thread run against
-    // the entries the cold run just published (every cached entry is a
-    // true optimum for its full key, so reuse can never change the chosen
-    // cost — only skip re-derivation). Warm plan bytes are NOT promised
-    // identical to cold, so the warm plan is checked semantically against
-    // the query instead.
-    TopDownEnumerator::Result cached_cold = run(1, true, true, true, cache);
+    // the private-memo cost bitwise. Then come concurrent sessions sharing
+    // the cache, as in ecad: 4 threads enumerate the query at the same
+    // time, first warm against the entries the cold run published, then
+    // again cold under a fresh stats epoch, where the racing searches
+    // publish and probe each other's entries mid-flight. Every cached
+    // entry is a true optimum for its full key, so reuse can never change
+    // the chosen cost — only skip re-derivation. Plan bytes are NOT
+    // promised identical to the private run, so each concurrent plan is
+    // checked semantically against the query instead.
+    TopDownEnumerator::Result cached_cold = run(true, true, true, cache);
     if (cached_cold.plan == nullptr) {
       return "plan-cache: null plan from the cold cached run";
     }
     if (cached_cold.cost != base.cost) {
       return "plan-cache: cold cached run changed the plan cost";
     }
-    TopDownEnumerator::Result warm = run(4, true, true, true, cache);
-    if (warm.plan == nullptr) {
-      return "plan-cache: null plan from the warm cached run";
-    }
-    if (warm.cost != base.cost) {
-      return "plan-cache: warm cached run changed the plan cost";
-    }
-    Status valid = ValidatePlanStatus(*warm.plan, t.db.BaseSchemas());
-    if (!valid.ok()) {
-      return "plan-cache: warm plan fails validation: " + valid.ToString();
-    }
-    Relation expect = ExecuteNaive(*t.query, t.db);
-    Relation got = Optimizer().Execute(*warm.plan, t.db);
-    if (!SameMultiset(CanonicalizeColumnOrder(expect),
-                      CanonicalizeColumnOrder(got))) {
-      return "plan-cache DIVERGENCE: warm cached plan result differs from "
-             "the query\n" +
-             warm.plan->ToString();
+    Relation expect = CanonicalizeColumnOrder(ExecuteNaive(*t.query, t.db));
+    for (bool racing : {false, true}) {
+      if (racing) cache->AdvanceEpoch();
+      const std::string what =
+          racing ? "plan-cache: racing cold" : "plan-cache: warm";
+      std::vector<TopDownEnumerator::Result> sessions(4);
+      std::vector<std::thread> threads;
+      for (TopDownEnumerator::Result& r : sessions) {
+        threads.emplace_back([&run, &r, cache] {
+          r = run(true, true, true, cache);
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      for (const TopDownEnumerator::Result& r : sessions) {
+        if (r.plan == nullptr) return what + " session returned a null plan";
+        if (r.cost != base.cost) return what + " session changed the plan cost";
+        Status valid = ValidatePlanStatus(*r.plan, t.db.BaseSchemas());
+        if (!valid.ok()) {
+          return what + " plan fails validation: " + valid.ToString();
+        }
+        Relation got = Optimizer().Execute(*r.plan, t.db);
+        if (!SameMultiset(expect, CanonicalizeColumnOrder(got))) {
+          return what + " DIVERGENCE: plan result differs from the query\n" +
+                 r.plan->ToString();
+        }
+      }
     }
   }
   return "";

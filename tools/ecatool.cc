@@ -17,8 +17,8 @@
 //       Data is random (N rows per relation) unless --data names a
 //       directory of R<i>.tbl files (columns k,a,b as written by the
 //       generators; see gen-tpch for TPC-H-style tables). --threads runs
-//       the enumeration's root pair loop and the executions on a worker
-//       pool; results are identical for every thread count
+//       the executions on a worker pool; results are identical for every
+//       thread count
 //       (docs/performance.md). --explain-stats additionally prints the
 //       full EnumeratorStats of each optimization (search-tree nodes,
 //       memo reuses, branch-and-bound prunes, cloned nodes, budget
@@ -499,7 +499,7 @@ int Explain(int argc, char** argv) {
       const EnumeratorStats& s = best->stats;
       std::printf(
           "enumerator stats (optimized in %.2f ms):\n"
-          "  subplan_calls=%lld pairs_considered=%lld root_tasks=%lld\n"
+          "  subplan_calls=%lld pairs_considered=%lld\n"
           "  swaps_attempted=%lld swaps_failed=%lld "
           "swap_chain_guard_trips=%lld\n"
           "  plans_completed=%lld reuses=%lld cache_entries=%lld "
@@ -509,7 +509,6 @@ int Explain(int argc, char** argv) {
           "  degraded=%s trigger=%s\n",
           opt_ms, static_cast<long long>(s.subplan_calls),
           static_cast<long long>(s.pairs_considered),
-          static_cast<long long>(s.root_tasks),
           static_cast<long long>(s.swaps_attempted),
           static_cast<long long>(s.swaps_failed),
           static_cast<long long>(s.swap_chain_guard_trips),
