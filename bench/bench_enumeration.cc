@@ -1,4 +1,4 @@
-// Section 5 / Appendix C: top-down plan enumeration with cost-based pruning
+// Section 5 / Appendix C: top-down plan enumeration with cost-based choice
 // and reuse of optimal subplans. Compares the basic enumerator (Algorithms
 // 1-3, no reuse) against the enhanced one (Algorithms 4-6, d-edge-guarded
 // subplan reuse) on random queries of growing size — the paper's argument

@@ -1,13 +1,12 @@
 // Enumerator fast-path benchmark and identity gate (EXPERIMENTS.md E10).
 //
 // Runs the reference enumerator (the pre-fast-path algorithm, preserved in
-// enum_reference.cc: whole-plan clone per decomposition, full-key memo, no
-// pruning, no cost memo, sequential) against the production enumerator on
-// the same random query population, and
+// enum_reference.cc: whole-plan clone per decomposition, full-key memo,
+// sequential) against the production enumerator on the same random query
+// population, and
 //
-//   1. asserts PLAN IDENTITY: with pruning and the cost memo on, the fast
-//      enumerator must pick a plan with exactly the reference enumerator's
-//      cost (bitwise double equality);
+//   1. asserts PLAN IDENTITY: the fast enumerator must pick a plan with
+//      exactly the reference enumerator's cost (bitwise double equality);
 //   2. measures the WORK REDUCTION: cloned plan nodes + cost-model
 //      evaluations, the two quantities the fast path exists to avoid.
 //
@@ -24,8 +23,8 @@
 // Usage: bench_enumerator_perf [queries_per_size] [max_rels] [ref_max_rels]
 //                              [json_path] [basic_max_rels]
 //
-// The reference enumerator is exponential without pruning, so it only runs
-// up to ref_max_rels (default 8; the reuse-free basic mode stops at
+// The reference enumerator is exponential, so it only runs up to
+// ref_max_rels (default 8; the reuse-free basic mode stops at
 // basic_max_rels, default 7); above that the fast enumerator runs alone
 // to show 9- and 10-relation queries complete.
 
@@ -61,8 +60,6 @@ struct SizeRow {
   double fast_ms_t1 = 0;
   int64_t fast_clones = 0;
   int64_t fast_cost_evals = 0;
-  int64_t fast_prunes = 0;
-  int64_t fast_memo_hits = 0;
   int64_t fast_reuses = 0;
   int basic_budget_exceeded = 0;  // queries where capped basic gave up
   int fast_budget_completed = 0;  // queries fast finished within the cap
@@ -98,9 +95,9 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
         const std::string& json_path) {
   std::printf("==== Enumerator fast path vs reference (identity + work) "
               "====\n");
-  std::printf("%5s %8s | %12s %12s | %10s %10s %12s | %8s %8s | %8s %8s\n",
-              "rels", "queries", "basic work", "enh work", "ref ms",
-              "fast ms", "fast work", "red/bas", "red/enh", "prunes", "memo");
+  std::printf("%5s %8s | %12s %12s | %10s %10s %12s | %8s %8s\n", "rels",
+              "queries", "basic work", "enh work", "ref ms", "fast ms",
+              "fast work", "red/bas", "red/enh");
 
   int failures = 0;
   std::vector<SizeRow> rows;
@@ -151,7 +148,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
         }
       }
 
-      EnumeratorOptions fast;  // defaults: prune + cost memo + reuse
+      EnumeratorOptions fast;  // defaults: d-edge-guarded reuse
       TopDownEnumerator e1(&cost, fast);
       auto t0 = std::chrono::steady_clock::now();
       auto f1 = e1.Optimize(*query);
@@ -159,8 +156,6 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       row.fast_clones += f1.stats.cloned_nodes;
       row.fast_cost_evals += f1.stats.cost_evals;
       row.fast_calls += f1.stats.subplan_calls;
-      row.fast_prunes += f1.stats.prunes;
-      row.fast_memo_hits += f1.stats.cost_memo_hits;
       row.fast_reuses += f1.stats.reuses;
 
       if (have_ref && f1.cost != ref_cost) {
@@ -226,12 +221,9 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
       std::snprintf(ref_ms, sizeof(ref_ms), "-");
       std::snprintf(red_enh, sizeof(red_enh), "-");
     }
-    std::printf("%5d %8d | %12s %12s | %10s %10.1f %12lld | %8s %8s | "
-                "%8lld %8lld\n",
-                n, queries, basic_work, enh_work, ref_ms, row.fast_ms_t1,
-                static_cast<long long>(row.FastWork()),
-                red_bas, red_enh, static_cast<long long>(row.fast_prunes),
-                static_cast<long long>(row.fast_memo_hits));
+    std::printf("%5d %8d | %12s %12s | %10s %10.1f %12lld | %8s %8s\n", n,
+                queries, basic_work, enh_work, ref_ms, row.fast_ms_t1,
+                static_cast<long long>(row.FastWork()), red_bas, red_enh);
     rows.push_back(row);
   }
 
@@ -301,8 +293,7 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           "\"fast_ms_t1\": %.2f, "
           "\"fast_cloned_nodes\": %lld, "
           "\"fast_cost_evals\": %lld, \"fast_subplan_calls\": %lld, "
-          "\"fast_prunes\": %lld, "
-          "\"fast_cost_memo_hits\": %lld, \"fast_reuses\": %lld, "
+          "\"fast_reuses\": %lld, "
           "\"basic_budget_exceeded\": %d, \"fast_budget_completed\": %d, "
           "\"work_reduction\": %s, \"work_reduction_enhanced\": %s}%s\n",
           r.rels, r.queries, r.ref_ran ? "true" : "false",
@@ -319,8 +310,6 @@ int Run(int queries, int max_rels, int ref_max_rels, int basic_max_rels,
           r.fast_ms_t1, static_cast<long long>(r.fast_clones),
           static_cast<long long>(r.fast_cost_evals),
           static_cast<long long>(r.fast_calls),
-          static_cast<long long>(r.fast_prunes),
-          static_cast<long long>(r.fast_memo_hits),
           static_cast<long long>(r.fast_reuses),
           r.basic_budget_exceeded, r.fast_budget_completed,
           opt_f(b[9], sizeof(b[9]), r.basic_ran, r.WorkReductionBasic()),

@@ -45,18 +45,21 @@ namespace eca {
 namespace {
 
 // The "default budget" the acceptance claim is phrased against: a cap on
-// GenerateSubplan invocations per query. Counter-intuitively, STAR is the
-// topology that blows up: its spokes attach to the hub through independent
-// binary predicates, so nearly every spoke permutation is a legal
-// reordering and the search space explodes (the hardest benched 10-rel
-// star needs ~190k calls; a 12-rel star seed needs 2.7M). Clique workloads
-// look denser but their join predicates AND together conjuncts over all
-// earlier relations, which pins the legal decompositions to a handful
-// (tens of calls); chains stay polynomial. The cap sits between the 10-
-// and 12-relation star costs, so DP completes every benched workload at
-// <= 10 relations undegraded and trips on 12+-relation stars — which the
-// sizes-only and greedy policies then plan in microseconds.
-constexpr int64_t kDefaultDpNodeBudget = 250000;
+// GenerateSubplan invocations per query, the same 10000 calls
+// bench_enumerator_perf applies. Counter-intuitively, STAR is the
+// topology that blows up: its spokes attach to the hub through
+// independent binary predicates, so nearly every spoke permutation is a
+// legal reordering and the search space explodes. Per benched query the
+// DP search needs 897 calls at star-8, 4609 at star-10, 22529 at star-12
+// and 106497 at star-14. Clique workloads look denser but their join
+// predicates AND together conjuncts over all earlier relations, which
+// pins the legal decompositions to a handful (15-27 calls); chains stay
+// polynomial (169 calls at 8 relations, 911 at 14). The cap sits near the
+// geometric middle of the window between the 10- and 12-relation star
+// costs, so DP completes every benched workload at <= 10 relations
+// undegraded and trips on 12+-relation stars — which the sizes-only and
+// greedy policies then plan in well under a millisecond.
+constexpr int64_t kDefaultDpNodeBudget = 10000;
 
 constexpr PlanPolicy kPolicies[] = {PlanPolicy::kDp, PlanPolicy::kSizesOnly,
                                     PlanPolicy::kGreedy,

@@ -104,7 +104,7 @@ struct RefCacheEntry {
 // the whole annotated plan, relocates the pair's join in the copy by
 // re-scanning its joinable pairs, and recurses by value. The memo maps a
 // relation set to a list of (full external-key vector, cached whole plan)
-// entries, linearly scanned. No pruning, no cost memo, one thread.
+// entries, linearly scanned. One thread.
 class RefSearch {
  public:
   RefSearch(const CostModel* cost, bool reuse, int64_t max_calls,

@@ -27,8 +27,8 @@ struct ReferenceStats {
 // The pre-fast-path top-down enumerator, kept verbatim as the benchmark
 // baseline and identity oracle: whole-plan deep copy per decomposition,
 // join relocation by re-scanning the clone's joinable pairs, a full-key
-// (relation set + external-d-edge vector) memo, no branch-and-bound, no
-// cost memo, sequential. bench_enumerator_perf asserts the fast enumerator
+// (relation set + external-d-edge vector) memo, sequential.
+// bench_enumerator_perf asserts the fast enumerator
 // picks a plan with exactly this enumerator's cost — that is what makes
 // its clones/costings reduction a like-for-like measurement rather than a
 // quality trade-off. Fault injection is omitted: the bench always runs

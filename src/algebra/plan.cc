@@ -206,22 +206,14 @@ uint64_t FpMix(uint64_t h, uint64_t v) {
   return h * 1099511628211ULL;
 }
 
-uint64_t PredFp(const PredRef& pred,
-                std::unordered_map<const Predicate*, uint64_t>* cache) {
+uint64_t PredFp(const PredRef& pred) {
   if (pred == nullptr) return 0x63726f7373ULL;  // "cross"
-  if (cache != nullptr) {
-    auto [it, fresh] = cache->try_emplace(pred.get(), 0);
-    if (fresh) it->second = StructuralFingerprint(*pred);
-    return it->second;
-  }
   return StructuralFingerprint(*pred);
 }
 
 }  // namespace
 
-uint64_t PlanFingerprint(
-    const Plan& plan,
-    std::unordered_map<const Predicate*, uint64_t>* pred_cache) {
+uint64_t PlanFingerprint(const Plan& plan) {
   uint64_t h = FpMix(1469598103934665603ULL,
                      static_cast<uint64_t>(plan.kind()) + 0xb5ULL);
   switch (plan.kind()) {
@@ -229,17 +221,17 @@ uint64_t PlanFingerprint(
       return FpMix(h, static_cast<uint64_t>(plan.rel_id()));
     case Plan::Kind::kJoin:
       h = FpMix(h, static_cast<uint64_t>(plan.op()));
-      h = FpMix(h, PredFp(plan.pred(), pred_cache));
-      h = FpMix(h, PlanFingerprint(*plan.left(), pred_cache));
-      return FpMix(h, PlanFingerprint(*plan.right(), pred_cache));
+      h = FpMix(h, PredFp(plan.pred()));
+      h = FpMix(h, PlanFingerprint(*plan.left()));
+      return FpMix(h, PlanFingerprint(*plan.right()));
     case Plan::Kind::kComp: {
       const CompOp& c = plan.comp();
       h = FpMix(h, static_cast<uint64_t>(c.kind));
-      h = FpMix(h, PredFp(c.pred, pred_cache));
+      h = FpMix(h, PredFp(c.pred));
       h = FpMix(h, c.attrs.bits());
       h = FpMix(h, c.keep.bits());
       h = FpMix(h, static_cast<uint64_t>(c.vnode) + 3);
-      return FpMix(h, PlanFingerprint(*plan.child(), pred_cache));
+      return FpMix(h, PlanFingerprint(*plan.child()));
     }
   }
   return h;

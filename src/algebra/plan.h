@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/comp_op.h"
@@ -96,14 +95,9 @@ bool PlanEquals(const Plan& a, const Plan& b);
 // kinds, leaf relation ids, join operators, predicate structure
 // (StructuralFingerprint — labels ignored) and compensation parameters
 // including the group vnode. Two plans with equal fingerprints are
-// structurally identical modulo 64-bit collisions; the enumerator keys its
-// subtree-cost memo on this and uses it as the deterministic tie-break when
-// merging parallel search results. `pred_cache`, when given, memoizes
-// predicate fingerprints by object identity (predicates are shared across
-// clones, so a search-long cache turns the predicate walk into a lookup).
-uint64_t PlanFingerprint(
-    const Plan& plan,
-    std::unordered_map<const Predicate*, uint64_t>* pred_cache = nullptr);
+// structurally identical modulo 64-bit collisions; the plan cache scopes
+// every entry by the fingerprint of the whole simplified query.
+uint64_t PlanFingerprint(const Plan& plan);
 
 // Returns the unique_ptr slot that owns `node` within `root`, or nullptr if
 // `node` is not in the tree. (`root_slot` must own the tree root.)

@@ -19,8 +19,8 @@ inline uint64_t Mix64(uint64_t h) {
   return h;
 }
 
-// Coordination between the lock-free fast path of the shared memo tables
-// and their stop-the-world maintenance (sweep / clear / reset).
+// Coordination between the lock-free fast path of the shared memo table
+// and its stop-the-world maintenance (sweep / clear / reset).
 //
 // Readers and writers on the hot path take a shared pin once per
 // enumeration — NOT per probe — so every individual table operation stays
@@ -165,100 +165,6 @@ class ConcurrentChainTable {
   Slot* slots_ = nullptr;
   size_t mask_ = 0;
   std::atomic<size_t> claimed_{0};
-};
-
-// Lock-free open-addressing map from 64-bit keys to doubles, for values
-// that are a pure function of their key (subtree costs keyed by plan
-// fingerprint + stats epoch): duplicate publishes are benign because every
-// publisher writes the same value, so the claim CAS needs no retry loop
-// and a reader that catches a slot mid-publish simply reports a miss.
-// Fixed capacity; a saturated probe window drops the publish.
-class ConcurrentCostTable {
- public:
-  static constexpr int kMaxProbe = 32;
-
-  explicit ConcurrentCostTable(size_t slot_count) {
-    size_t n = 16;
-    while (n < slot_count) n <<= 1;
-    mask_ = n - 1;
-    slots_ = new Slot[n];
-  }
-  ~ConcurrentCostTable() { delete[] slots_; }
-
-  ConcurrentCostTable(const ConcurrentCostTable&) = delete;
-  ConcurrentCostTable& operator=(const ConcurrentCostTable&) = delete;
-
-  bool Lookup(uint64_t key, double* value) const {
-    key = Normalize(key);
-    const size_t start = Mix64(key);
-    const int limit = ProbeLimit();
-    for (int i = 0; i < limit; ++i) {
-      const Slot& s = slots_[(start + static_cast<size_t>(i)) & mask_];
-      uint64_t k = s.key.load(std::memory_order_acquire);
-      if (k == 0) return false;
-      if (k == key) {
-        if (s.ready.load(std::memory_order_acquire) == 0) return false;
-        uint64_t bits = s.bits.load(std::memory_order_relaxed);
-        double v;
-        static_assert(sizeof(v) == sizeof(bits));
-        __builtin_memcpy(&v, &bits, sizeof(v));
-        *value = v;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Publish(uint64_t key, double value) {
-    key = Normalize(key);
-    const size_t start = Mix64(key);
-    const int limit = ProbeLimit();
-    for (int i = 0; i < limit; ++i) {
-      Slot& s = slots_[(start + static_cast<size_t>(i)) & mask_];
-      uint64_t k = s.key.load(std::memory_order_acquire);
-      if (k == 0 &&
-          s.key.compare_exchange_strong(k, key, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        uint64_t bits;
-        __builtin_memcpy(&bits, &value, sizeof(bits));
-        s.bits.store(bits, std::memory_order_relaxed);
-        s.ready.store(1, std::memory_order_release);
-        return;
-      }
-      if (k == key) return;  // same pure value already (being) published
-    }
-    // Window saturated: drop. Lookup misses are always safe.
-  }
-
-  // Caller must hold the exclusive side of the owning gate.
-  void ResetExclusive() {
-    for (size_t i = 0; i <= mask_; ++i) {
-      slots_[i].key.store(0, std::memory_order_relaxed);
-      slots_[i].bits.store(0, std::memory_order_relaxed);
-      slots_[i].ready.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  size_t slot_count() const { return mask_ + 1; }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> key{0};
-    std::atomic<uint64_t> bits{0};
-    std::atomic<uint32_t> ready{0};
-  };
-
-  static uint64_t Normalize(uint64_t key) {
-    return key != 0 ? key : 0x9e3779b97f4a7c15ULL;
-  }
-  int ProbeLimit() const {
-    size_t n = mask_ + 1;
-    return n < static_cast<size_t>(kMaxProbe) ? static_cast<int>(n)
-                                              : kMaxProbe;
-  }
-
-  Slot* slots_ = nullptr;
-  size_t mask_ = 0;
 };
 
 }  // namespace eca

@@ -61,7 +61,6 @@ PlanProvenance BuildPlanProvenance(const Plan& chosen,
   WalkPlan(chosen, &out);
   out.subplan_calls = stats.subplan_calls;
   out.memo_hits = stats.reuses;
-  out.bb_prunes = stats.prunes;
   out.degraded = stats.degraded;
   if (stats.degraded) {
     out.degraded_trigger = BudgetTriggerName(stats.trigger);
@@ -105,10 +104,9 @@ std::string PlanProvenance::ToString() const {
     }
     out += '\n';
   }
-  out += StrFormat("  search: %lld subplan calls, %lld memo hits, %lld prunes\n",
+  out += StrFormat("  search: %lld subplan calls, %lld memo hits\n",
                    static_cast<long long>(subplan_calls),
-                   static_cast<long long>(memo_hits),
-                   static_cast<long long>(bb_prunes));
+                   static_cast<long long>(memo_hits));
   return out;
 }
 

@@ -42,7 +42,6 @@ struct PlanProvenance {
   int64_t leaf_nodes = 0;
   int64_t subplan_calls = 0;
   int64_t memo_hits = 0;
-  int64_t bb_prunes = 0;
   bool degraded = false;
   std::string degraded_trigger;
 

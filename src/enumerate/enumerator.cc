@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -119,8 +118,7 @@ bool Contains(const std::vector<int>& sorted, int v) {
 }
 
 // The enumeration of one query: a single sequential top-down search
-// (Algorithms 2/5) together with its budget, its subplan memo and its
-// subtree-cost memo.
+// (Algorithms 2/5) together with its budget and its subplan memo.
 //
 // Memo layering: every entry the search stores lands in its local memo,
 // and — when the caller supplied a cross-query plan cache — is also
@@ -147,7 +145,7 @@ class Search {
     // cross-query reuse happens only between structurally identical
     // queries, where a subplan's full surrounding context — and therefore
     // Theorem 5.4's external-d-edge reasoning — is known to transfer.
-    query_fp_ = PlanFingerprint(root, &pred_fp_);
+    query_fp_ = PlanFingerprint(root);
   }
   ~Search() {
     if (memo_ != nullptr) memo_->Unpin();
@@ -158,16 +156,11 @@ class Search {
   // In-place Algorithm 2/5: finds the cheapest realization of relation set
   // `s` inside p's subtree under the join at `i_path` (the whole plan when
   // absent). On success returns true with the winner installed in *p; on
-  // failure returns false with *p exactly as on entry. `bound` is the
-  // branch-and-bound upper limit inherited from the caller: any realization
-  // costing strictly more than bound is useless to the caller, so the
-  // search may abandon such candidates early. Realizations tying the bound
-  // exactly must still complete, so that the pruned search keeps the same
-  // equal-cost candidates the unpruned one does. The search must not cache
-  // its best when the bound cut anything off, because that best is only
-  // "best under the bound".
+  // failure returns false with *p exactly as on entry. Both sides of every
+  // decomposition are searched without a cost bound, so the best is a true
+  // optimum and is stored in the memo unless a budget trip truncated it.
   bool GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
-                       RelSet s, double bound);
+                       RelSet s);
 
   // The run's statistics, with the memo probe counters folded into them
   // and into the memo.* metrics. Call once, when the search is done.
@@ -218,36 +211,8 @@ class Search {
   }
 
   double SubtreeCost(const APlan& p, RelSet s) {
-    const Plan* sub = SubtreeOf(p.root.get(), s);
-    if (!opt_.cost_memo) {
-      ++stats_.cost_evals;
-      return cost_->Cost(*sub);
-    }
-    uint64_t fp = PlanFingerprint(*sub, &pred_fp_);
-    auto it = cost_memo_.find(fp);
-    if (it != cost_memo_.end()) {
-      ++stats_.cost_memo_hits;
-      return it->second;
-    }
-    if (memo_ != nullptr) {
-      // The cache's subtree-cost table. Costs are a pure function of
-      // (fingerprint, stats epoch) — every publisher computes the same
-      // value — so sharing across queries can change how much work is
-      // saved, never which plan is chosen.
-      ++memo_stats_.cost_probes;
-      double c;
-      if (memo_->CostLookup(FpMix(fp, epoch_), &c)) {
-        ++memo_stats_.cost_hits;
-        ++stats_.cost_memo_hits;
-        cost_memo_.emplace(fp, c);
-        return c;
-      }
-    }
     ++stats_.cost_evals;
-    double c = cost_->Cost(*sub);
-    cost_memo_.emplace(fp, c);
-    if (memo_ != nullptr) memo_->CostPublish(FpMix(fp, epoch_), c);
-    return c;
+    return cost_->Cost(*SubtreeOf(p.root.get(), s));
   }
 
   // The external d-edge signature of subtree(p, s): every d-edge whose
@@ -346,18 +311,11 @@ class Search {
     return e;
   }
 
+  // Called only after FindEntry missed for the same probe, and the
+  // recursion in between stores strict subsets of s only, so the local
+  // memo never already holds this full key.
   void StoreEntry(APlan* p, RelSet s, const Probe& probe, double cost) {
     if (truncated_) return;
-    auto& bucket = local_memo_[probe.map_key];
-    for (auto& e : bucket) {
-      if (e->s == s && e->ext_keys == probe.keys) {
-        if (cost < e->cost) {
-          e = BuildPayload(p, s, probe, cost);
-          if (memo_ != nullptr) memo_->Publish(probe.map_key, e, gen_);
-        }
-        return;
-      }
-    }
     const EnumeratorBudget& b = opt_.budget;
     if (b.max_memo_entries > 0 &&
         stats_.cache_entries >= b.max_memo_entries) {
@@ -367,7 +325,7 @@ class Search {
       return;
     }
     auto payload = BuildPayload(p, s, probe, cost);
-    bucket.push_back(payload);
+    local_memo_[probe.map_key].push_back(payload);
     ++stats_.cache_entries;
     if (memo_ != nullptr) memo_->Publish(probe.map_key, payload, gen_);
   }
@@ -461,12 +419,10 @@ class Search {
   std::unordered_map<uint64_t,
                      std::vector<std::shared_ptr<const MemoPayload>>>
       local_memo_;
-  std::unordered_map<const Predicate*, uint64_t> pred_fp_;
-  std::unordered_map<uint64_t, double> cost_memo_;
 };
 
 bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
-                             RelSet s, double bound) {
+                             RelSet s) {
   if (Exhausted()) return false;
   ++stats_.subplan_calls;
   if (s.Count() <= 1) {
@@ -566,17 +522,6 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
     Plan* j = ResolvePath(p->root.get(), pair_paths[k]);
     Plan* i_node =
         i_path.has_value() ? ResolvePath(p->root.get(), *i_path) : nullptr;
-    // Pruning uses two cuts with different strictness. Against the local
-    // best, >= is right: a candidate at or above it can never strictly
-    // improve, which is all this loop asks. Against the inherited bound the
-    // cut must be tie-permissive (strictly above, plus slack so rounding
-    // only loosens it): a candidate costing exactly `bound` has to
-    // complete, because the no-prune search would have produced that tie
-    // candidate too.
-    const double tie_slack =
-        bound < kInf ? 1e-9 * (std::abs(bound) + 1.0) : 0.0;
-    const double eff_bound = opt_.prune ? std::min(bound, best_cost) : kInf;
-
     // Move j upward until its parent join is i (Algorithm 2, steps 6-7).
     bool feasible = true;
     int chain = 0;
@@ -620,37 +565,12 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
                        : pair.s2;
     RelSet second = first == pair.s1 ? pair.s2 : pair.s1;
 
-    if (!GenerateSubplan(p, j_path, first, eff_bound)) continue;
+    if (!GenerateSubplan(p, j_path, first)) continue;
     dirty_key = key;  // a successful recursion rewrote the slot's subtree
-    double c1 = 0;
-    if (opt_.prune) {
-      // The cost model is additive with non-negative terms, so the first
-      // side's cost is a lower bound on the candidate's final cost.
-      c1 = SubtreeCost(*p, first);
-      if (c1 >= best_cost || c1 > bound + tie_slack) {
-        ++stats_.prunes;
-        continue;
-      }
-    }
-    // Bound for the second side: what is left of eff_bound after paying
-    // c1, slackened by one epsilon so floating-point rounding can only
-    // loosen the pruning (never discard a would-be winner).
-    const double bound2 =
-        opt_.prune ? eff_bound - c1 + 1e-9 * (std::abs(eff_bound) + 1.0)
-                   : kInf;
-    if (!GenerateSubplan(p, j_path, second, bound2)) continue;
+    if (!GenerateSubplan(p, j_path, second)) continue;
 
     double cost = SubtreeCost(*p, s);
     if (!i_path.has_value()) ++stats_.plans_completed;
-#ifndef NDEBUG
-    if (opt_.prune) {
-      // The pruning rule is sound only while child costs lower-bound the
-      // parent cost; verify the cost model still satisfies that.
-      ECA_CHECK(cost >= c1);
-      double c2 = SubtreeCost(*p, second);
-      ECA_CHECK(cost + 1e-6 * (std::abs(cost) + 1.0) >= c1 + c2);
-    }
-#endif
     if (cost < best_cost) {
       best_cost = cost;
       best_key = key;
@@ -668,11 +588,7 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
     }
     *slot_of(best_key) = std::move(best_subtree);
     p->ctx = std::move(best_ctx);
-    // Cache only a best the bound did not constrain: under a finite bound,
-    // pruned candidates might have beaten this one for other callers.
-    if (opt_.reuse_subplans && best_cost < bound) {
-      StoreEntry(p, s, probe, best_cost);
-    }
+    if (opt_.reuse_subplans) StoreEntry(p, s, probe, best_cost);
     return true;
   }
   if (dirty_key >= 0) {
@@ -720,9 +636,7 @@ void PublishEnumeratorStats(const EnumeratorStats& s) {
   static Counter* const completed = reg.counter("enum.plans_completed");
   static Counter* const memo_hits = reg.counter("enum.memo_hits");
   static Counter* const memo_entries = reg.counter("enum.memo_entries");
-  static Counter* const prunes = reg.counter("enum.bb_prunes");
   static Counter* const cost_evals = reg.counter("enum.cost_evals");
-  static Counter* const cost_memo_hits = reg.counter("enum.cost_memo_hits");
   static Counter* const cloned = reg.counter("enum.cloned_nodes");
   static Counter* const guard = reg.counter("enum.swap_chain_guard_trips");
   static Counter* const collisions = reg.counter("enum.sig_collisions");
@@ -734,9 +648,7 @@ void PublishEnumeratorStats(const EnumeratorStats& s) {
   completed->Add(s.plans_completed);
   memo_hits->Add(s.reuses);
   memo_entries->Add(s.cache_entries);
-  prunes->Add(s.prunes);
   cost_evals->Add(s.cost_evals);
-  cost_memo_hits->Add(s.cost_memo_hits);
   cloned->Add(s.cloned_nodes);
   guard->Add(s.swap_chain_guard_trips);
   collisions->Add(s.sig_collisions);
@@ -753,7 +665,6 @@ TopDownEnumerator::Result TopDownEnumerator::Optimize(const Plan& query) {
     span.AppendArg("subplan_calls",
                    static_cast<long long>(result.stats.subplan_calls));
     span.AppendArg("memo_hits", static_cast<long long>(result.stats.reuses));
-    span.AppendArg("prunes", static_cast<long long>(result.stats.prunes));
     if (result.stats.degraded) {
       span.AppendArg("degraded", BudgetTriggerName(result.stats.trigger));
     }
@@ -773,7 +684,7 @@ TopDownEnumerator::Result TopDownEnumerator::OptimizeImpl(const Plan& query) {
       options_.unsafe_ignore_dedges ? nullptr : options_.shared_memo;
   Search search(cost_, options_, cache, *init.root);
   const bool found = search.GenerateSubplan(
-      &init, std::nullopt, init.root->leaves(), kInf);
+      &init, std::nullopt, init.root->leaves());
 
   Result result;
   result.stats = search.Finish();

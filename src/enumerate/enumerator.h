@@ -63,16 +63,6 @@ struct EnumeratorOptions {
   // bench_ablation_dedges and the corresponding test to demonstrate that
   // naive reuse produces plans that are NOT equivalent to the query.
   bool unsafe_ignore_dedges = false;
-  // Branch-and-bound: prune a decomposition as soon as the already-fixed
-  // part of the subtree costs at least the best complete alternative. Never
-  // changes the selected plan (the cost model is additive, so a partial
-  // cost is a lower bound; see docs/performance.md for the exactness
-  // argument). Off = the plain exhaustive loop, kept for A/B checks.
-  bool prune = true;
-  // Memoize subtree costs by structural fingerprint (PlanFingerprint), so
-  // the repeated costings of identical subtrees during the pair loop and
-  // branch-and-bound checks hit a hash map instead of the cost model.
-  bool cost_memo = true;
   // Ignored: the search is sequential and nothing reads this field. It
   // stays declared only so that callers which still assign it compile.
   int num_threads = 1;
@@ -104,13 +94,11 @@ struct EnumeratorStats {
   int64_t plans_completed = 0;  // complete plans costed at the top level
   int64_t reuses = 0;
   int64_t cache_entries = 0;
-  // Decompositions abandoned by branch-and-bound (fixed part already
-  // costed at least the best complete alternative).
+  // Always 0: the search has no cost bound, so nothing is ever pruned.
+  // Kept declared only because perfbench/harness.cc still reads it.
   int64_t prunes = 0;
-  // Full cost-model evaluations vs. subtree-fingerprint memo hits; their
-  // sum is what the seed enumerator paid on every SubtreeCost call.
+  // Full cost-model evaluations (one per completed candidate).
   int64_t cost_evals = 0;
-  int64_t cost_memo_hits = 0;
   // Plan nodes deep-copied by the search (snapshot/restore/graft clones).
   // Together with cost_evals this is the "work" measure the perf bench
   // tracks (BENCH_enum.json).
@@ -142,11 +130,10 @@ struct EnumeratorStats {
 // across contexts when their external dependency edges match (Theorem 5.4).
 //
 // The search is clone-light (per-decomposition state is snapshot/restored
-// in place of whole-plan deep copies), memoized ((relation set, 64-bit
+// in place of whole-plan deep copies) and memoized ((relation set, 64-bit
 // ext-d-edge signature) -> optimal subtree, with the full key stored for
-// collision verification) and branch-and-bound pruned — all while
-// selecting the same plan the plain exhaustive loop selects
-// (docs/performance.md, bench_enumerator_perf).
+// collision verification) — while selecting the same plan the basic
+// Algorithms 1-3 loop selects (docs/performance.md, bench_enumerator_perf).
 class TopDownEnumerator {
  public:
   TopDownEnumerator(const CostModel* cost_model, EnumeratorOptions options)

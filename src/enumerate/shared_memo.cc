@@ -18,8 +18,6 @@ struct MemoCounters {
   Counter* probes;
   Counter* hits;
   Counter* sig_collisions;
-  Counter* cost_probes;
-  Counter* cost_hits;
   Counter* publishes;
   Counter* duplicate_publishes;
   Counter* full_rejects;
@@ -36,8 +34,6 @@ const MemoCounters& Counters() {
     return MemoCounters{reg.counter("memo.probes"),
                         reg.counter("memo.hits"),
                         reg.counter("memo.sig_collisions"),
-                        reg.counter("memo.cost_probes"),
-                        reg.counter("memo.cost_hits"),
                         reg.counter("memo.publishes"),
                         reg.counter("memo.duplicate_publishes"),
                         reg.counter("memo.full_rejects"),
@@ -69,7 +65,6 @@ bool ProbeMatches(const MemoProbe& probe, const MemoPayload& p) {
 
 SharedMemo::SharedMemo(const Config& config)
     : table_(config.slot_count),
-      cost_table_(config.cost_slot_count),
       max_bytes_(config.max_bytes) {
   if (config.parent != nullptr) {
     // Accounting-only child: the service's admission ledger reserves the
@@ -236,8 +231,6 @@ void SharedMemo::AccumulateProbeStats(const MemoProbeStats& stats) {
   c.probes->Add(stats.probes);
   c.hits->Add(stats.hits);
   c.sig_collisions->Add(stats.sig_collisions);
-  c.cost_probes->Add(stats.cost_probes);
-  c.cost_hits->Add(stats.cost_hits);
 }
 
 void SharedMemo::ReleaseNode(MemoNode* node) {
@@ -283,9 +276,6 @@ void SharedMemo::RebuildLocked(Keep&& keep) {
     ECA_DCHECK(head != nullptr);
     head->store(rebuilt_head, std::memory_order_relaxed);
   }
-  // Stale cost entries are keyed by dead epochs; recomputing the few
-  // evicted live ones is cheaper than tracking them individually.
-  cost_table_.ResetExclusive();
 }
 
 void SharedMemo::Sweep() {

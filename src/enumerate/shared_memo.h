@@ -53,11 +53,10 @@ struct MemoDEdge {
 };
 
 // An immutable proven-optimal subplan entry. Entries store true optima
-// for their (relation set, external-edge set) — the enumerator only
-// publishes when the bounded search completed below its bound, which by
-// the additive-cost cut argument means no better realization exists — so
-// a value is a pure function of its full key and publishing is
-// order-independent.
+// for their (relation set, external-edge set) — the enumerator publishes
+// only the best of an exhaustive, unbounded search, and never after a
+// budget cut it short — so a value is a pure function of its full key and
+// publishing is order-independent.
 struct MemoPayload {
   // Full key, verified exactly on probe (the map key is only a hash).
   uint64_t query_fp = 0;  // fingerprint of the whole simplified query
@@ -117,8 +116,6 @@ struct MemoProbeStats {
   int64_t probes = 0;
   int64_t hits = 0;
   int64_t sig_collisions = 0;
-  int64_t cost_probes = 0;
-  int64_t cost_hits = 0;
 };
 
 // Concurrent, fingerprint-keyed memo of proven-optimal subplans: the
@@ -126,7 +123,7 @@ struct MemoProbeStats {
 // Each query's enumeration is sequential and keeps its own local memo;
 // this table lets concurrent sessions share the optima of earlier queries.
 //
-// Thread model: Pin() once per enumeration, then Find/Publish/Cost* are
+// Thread model: Pin() once per enumeration, then Find/Publish are
 // lock-free; Sweep/Clear take the exclusive side of the gate and may
 // rebuild the table wholesale. BeginQuery hands out a monotonic
 // generation, and a probe of generation G sees exactly the nodes with
@@ -139,8 +136,7 @@ struct MemoProbeStats {
 class SharedMemo {
  public:
   struct Config {
-    size_t slot_count = 1 << 13;       // chain-table slots (rounded up)
-    size_t cost_slot_count = 1 << 13;  // cost-table slots (rounded up)
+    size_t slot_count = 1 << 13;  // chain-table slots (rounded up)
     // Byte budget for cached entries; 0 means unlimited. Publishes
     // beyond the budget are rejected until the next Sweep.
     int64_t max_bytes = 0;
@@ -186,16 +182,6 @@ class SharedMemo {
   MemoPublishResult Publish(uint64_t map_key,
                             std::shared_ptr<const MemoPayload> payload,
                             uint64_t gen);
-
-  // Shared subtree-cost memo, keyed by FpMix(plan fingerprint, epoch).
-  // Costs are a pure function of the key, so cross-query sharing cannot
-  // perturb results. Requires a pin.
-  bool CostLookup(uint64_t key, double* value) {
-    return cost_table_.Lookup(key, value);
-  }
-  void CostPublish(uint64_t key, double value) {
-    cost_table_.Publish(key, value);
-  }
 
   // Folds one enumeration's probe counters into the memo.* metrics.
   // Static: a search without a plan cache reports through it too.
@@ -247,7 +233,6 @@ class SharedMemo {
 
   ReaderGate gate_;
   ConcurrentChainTable<MemoNode> table_;
-  ConcurrentCostTable cost_table_;
   const int64_t max_bytes_;
   std::unique_ptr<MemoryTracker> tracker_;  // child of config.parent
   std::atomic<uint64_t> gen_{0};

@@ -81,15 +81,13 @@ ServiceState::ServiceState(const Database* db, ServiceOptions options)
   if (options_.plan_cache_bytes > 0) {
     SharedMemo::Config config;
     // Size the slot arrays from the byte budget assuming ~1KB per cached
-    // entry, clamped to [2^13, 2^20] slots; the cost table runs 4x wider
-    // (entries are one 16-byte slot each).
+    // entry, clamped to [2^13, 2^20] slots.
     size_t slots = size_t{1} << 13;
     while (slots < size_t{1} << 20 &&
            static_cast<int64_t>(slots) * 1024 < options_.plan_cache_bytes) {
       slots <<= 1;
     }
     config.slot_count = slots;
-    config.cost_slot_count = slots * 4;
     config.max_bytes = options_.plan_cache_bytes;
     config.parent = &root_;
     plan_cache_ = std::make_unique<SharedMemo>(config);

@@ -1,9 +1,8 @@
-// Multi-thread stress for the lock-free tables under the shared memo
+// Multi-thread stress for the lock-free chain table under the shared memo
 // (common/concurrent_table.h). These are the properties the enumerator's
 // determinism argument leans on: every published node stays reachable,
-// the chain for a key contains exactly what was published for it, a
-// saturated probe window rejects cleanly, and the cost table never
-// returns a torn or wrong value. Run under the TSan CI lane.
+// the chain for a key contains exactly what was published for it, and a
+// saturated probe window rejects cleanly. Run under the TSan CI lane.
 
 #include "common/concurrent_table.h"
 
@@ -160,61 +159,6 @@ TEST(ConcurrentChainTableTest, ConcurrentPublishLookupStress) {
     }
   }
   EXPECT_EQ(seen, static_cast<int64_t>(kThreads) * kPerThread);
-}
-
-TEST(ConcurrentCostTableTest, PublishThenLookup) {
-  ConcurrentCostTable table(64);
-  double v = 0;
-  EXPECT_FALSE(table.Lookup(42, &v));
-  table.Publish(42, 3.25);
-  ASSERT_TRUE(table.Lookup(42, &v));
-  EXPECT_EQ(v, 3.25);
-  // Duplicate publishes of the same pure value are no-ops.
-  table.Publish(42, 3.25);
-  ASSERT_TRUE(table.Lookup(42, &v));
-  EXPECT_EQ(v, 3.25);
-}
-
-// Values are pure functions of their key, so whatever a concurrent
-// reader observes must be exactly the key's value — never a torn double
-// or another key's bits.
-TEST(ConcurrentCostTableTest, ConcurrentPublishLookupStress) {
-  constexpr int kThreads = 4;
-  constexpr int kKeys = 512;
-  ConcurrentCostTable table(2048);
-  auto value_of = [](uint64_t key) {
-    return static_cast<double>(Mix64(key)) * 0.5;
-  };
-
-  std::atomic<bool> error{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      // Each thread publishes all keys in a different order and verifies
-      // every hit along the way.
-      for (int i = 0; i < kKeys; ++i) {
-        uint64_t key =
-            1 + static_cast<uint64_t>((i * (t + 1) * 7 + t) % kKeys);
-        table.Publish(key, value_of(key));
-        double v = 0;
-        if (table.Lookup(key, &v) && v != value_of(key)) error.store(true);
-      }
-      for (uint64_t key = 1; key <= kKeys; ++key) {
-        double v = 0;
-        if (table.Lookup(key, &v) && v != value_of(key)) error.store(true);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_FALSE(error.load());
-
-  // After the barrier every key must be present with its value (the table
-  // is oversized, so no publish can have been dropped).
-  for (uint64_t key = 1; key <= kKeys; ++key) {
-    double v = 0;
-    ASSERT_TRUE(table.Lookup(key, &v)) << "key " << key;
-    EXPECT_EQ(v, value_of(key));
-  }
 }
 
 }  // namespace

@@ -208,10 +208,11 @@ TEST(RegistryConsistencyTest, EnumeratorDeltaMatchesEnumeratorStats) {
   EXPECT_EQ(CounterDelta(diff, "enum.plans_completed"), s.plans_completed);
   EXPECT_EQ(CounterDelta(diff, "enum.memo_hits"), s.reuses);
   EXPECT_EQ(CounterDelta(diff, "enum.memo_entries"), s.cache_entries);
-  EXPECT_EQ(CounterDelta(diff, "enum.bb_prunes"), s.prunes);
   EXPECT_EQ(CounterDelta(diff, "enum.cost_evals"), s.cost_evals);
-  EXPECT_EQ(CounterDelta(diff, "enum.cost_memo_hits"), s.cost_memo_hits);
   EXPECT_EQ(CounterDelta(diff, "enum.cloned_nodes"), s.cloned_nodes);
+  EXPECT_EQ(CounterDelta(diff, "enum.swap_chain_guard_trips"),
+            s.swap_chain_guard_trips);
+  EXPECT_EQ(CounterDelta(diff, "enum.sig_collisions"), s.sig_collisions);
   EXPECT_EQ(CounterDelta(diff, "enum.degraded_runs"), s.degraded ? 1 : 0);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "eca/optimizer.h"
 #include "eca/policy.h"
@@ -135,6 +136,37 @@ TEST(PolicyOptimizeTest, CheapPoliciesSkipEnumeration) {
     opts.max_join_size = 4;
     auto best = Optimizer(opts).Optimize(*w.query, w.db);
     EXPECT_EQ(best.stats.subplan_calls, 0) << PlanPolicyName(policy);
+  }
+}
+
+// Regression for the DP blow-up: with a cost bound inherited from the
+// caller, a search that failed under its bound stored nothing, so the
+// same relation set was searched again under every new bound and call
+// counts exploded on long chains and wide stars. The unbounded search
+// memoizes every best, so bench_policy's chain-14 and star-10 workloads
+// (same seeds and data settings) finish well inside a 10k-call budget.
+TEST(PolicyOptimizeTest, DpCompletesChain14AndStar10WithinBudget) {
+  for (auto [topo, n] : {std::pair{Topology::kChain, 14},
+                         std::pair{Topology::kStar, 10}}) {
+    for (int qi = 0; qi < 3; ++qi) {
+      WorkloadOptions wopts;
+      wopts.topology = topo;
+      wopts.num_rels = n;
+      wopts.seed = static_cast<uint64_t>(n) * 7919 +
+                   static_cast<uint64_t>(topo) * 131 +
+                   static_cast<uint64_t>(qi);
+      wopts.data.min_rows = 2;
+      wopts.data.max_rows = 6;
+      wopts.data.domain = 3;
+      Workload w = GenerateWorkload(wopts);
+      Optimizer::Options opts;
+      opts.plan_policy = PlanPolicy::kDp;
+      opts.budget.max_enumerated_nodes = 10000;
+      auto best = Optimizer(opts).Optimize(*w.query, w.db);
+      EXPECT_FALSE(best.stats.degraded)
+          << TopologyName(topo) << "-" << n << " query " << qi << ": "
+          << best.stats.subplan_calls << " subplan calls";
+    }
   }
 }
 

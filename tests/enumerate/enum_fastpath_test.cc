@@ -1,8 +1,7 @@
-// Tests for the enumerator fast paths: the swap-chain cycle guard, the
-// hashed (fingerprinted) memo with stored-full-key collision verification,
-// branch-and-bound pruning and the subtree cost memo. The unifying
-// contract: none of them may change the chosen plan — the fast search
-// returns exactly what the plain exhaustive loop returns.
+// Tests for the enumerator fast paths: the swap-chain cycle guard and the
+// hashed (fingerprinted) memo with stored-full-key collision verification.
+// The unifying contract: neither may change the chosen plan — the fast
+// search returns exactly what the plain exhaustive loop returns.
 
 #include <gtest/gtest.h>
 

@@ -15,7 +15,7 @@ Two classes of checks:
     must hold EXACTLY -- a reordered or spilled plan that stops producing
     the direct plan's multiset is a correctness bug, not a regression;
   * bench_enumerator_perf's fast_ms_t1 / ref_ms geomean at 6-8 rels must
-    stay <= 1.05: a within-run ratio against the in-binary reference
+    stay <= 0.90: a within-run ratio against the in-binary reference
     enumerator, so it cancels machine speed;
   * work-reduction metrics (bench_enumerator_perf's work_reduction /
     work_reduction_enhanced) and parallel_exec's per-thread-count speedup
@@ -44,11 +44,11 @@ FAIL = "FAIL"
 # fast_ms_t1 / ref_ms over the candidate's rows with ENUM_RATIO_MIN_RELS
 # <= rels <= ENUM_RATIO_MAX_RELS must stay at or below this. Both timings
 # come from the same run on the same queries, so the ratio cancels machine
-# speed: the production enumerator must not lose to the sequential
-# reference it replaced (bench/enum_reference.cc). Below 6 relations a
+# speed: the production enumerator must beat the sequential reference it
+# replaced (bench/enum_reference.cc) by at least 10%. Below 6 relations a
 # query takes about a millisecond and the ratio is timer noise; above 8
 # the reference does not run.
-ENUM_FAST_REF_LIMIT = 1.05
+ENUM_FAST_REF_LIMIT = 0.90
 ENUM_RATIO_MIN_RELS = 6
 ENUM_RATIO_MAX_RELS = 8
 

@@ -111,6 +111,15 @@ def enum_cases(fresh, expect):
     expect("fast_ms_t1 = 1.3 x ref_ms fails", d, 1)
 
     d = copy.deepcopy(fresh)
+    for r in d["rows"]:
+        # Slightly faster than the reference, but not by the 10% margin the
+        # unbounded search holds: a reintroduced slowdown that merely ties
+        # the reference must still fail.
+        if r.get("ref_ms"):
+            r["fast_ms_t1"] = 0.95 * r["ref_ms"]
+    expect("fast_ms_t1 = 0.95 x ref_ms fails", d, 1)
+
+    d = copy.deepcopy(fresh)
     d["identity_pass"] = False
     expect("identity_pass=false fails", d, 1)
 

@@ -21,7 +21,7 @@
 //       thread count
 //       (docs/performance.md). --explain-stats additionally prints the
 //       full EnumeratorStats of each optimization (search-tree nodes,
-//       memo reuses, branch-and-bound prunes, cloned nodes, budget
+//       memo reuses, cost evaluations, cloned nodes, budget
 //       trigger, ...) together with its wall-clock time.
 //
 //       --trace-out=<file.json> (or --trace-out <file.json>) records a
@@ -504,8 +504,7 @@ int Explain(int argc, char** argv) {
           "swap_chain_guard_trips=%lld\n"
           "  plans_completed=%lld reuses=%lld cache_entries=%lld "
           "sig_collisions=%lld\n"
-          "  prunes=%lld cost_evals=%lld cost_memo_hits=%lld "
-          "cloned_nodes=%lld\n"
+          "  cost_evals=%lld cloned_nodes=%lld\n"
           "  degraded=%s trigger=%s\n",
           opt_ms, static_cast<long long>(s.subplan_calls),
           static_cast<long long>(s.pairs_considered),
@@ -516,9 +515,7 @@ int Explain(int argc, char** argv) {
           static_cast<long long>(s.reuses),
           static_cast<long long>(s.cache_entries),
           static_cast<long long>(s.sig_collisions),
-          static_cast<long long>(s.prunes),
           static_cast<long long>(s.cost_evals),
-          static_cast<long long>(s.cost_memo_hits),
           static_cast<long long>(s.cloned_nodes),
           s.degraded ? "yes" : "no", BudgetTriggerName(s.trigger));
     }
