@@ -15,6 +15,10 @@
 // committed baseline — a change that reintroduces cross-thread barriers
 // shows up as sub-1.0 ratios on any machine, single-core included (see
 // docs/performance.md).
+//
+// beta_ms (informational, not gated) is the own time of the plan's beta
+// and gamma* nodes, read from the executor's per-node profile: the
+// best-match work that runs on one thread at every thread count.
 
 #include <cstdio>
 #include <cstring>
@@ -43,9 +47,32 @@ bool ByteIdentical(const Relation& a, const Relation& b) {
   return true;
 }
 
+// Own time of `plan`'s beta and gamma* nodes in `stats.profile` (which
+// lists the nodes in preorder).
+double BetaMs(const Plan& plan, const ExecStats& stats) {
+  std::vector<const Plan*> stack = {&plan};
+  double ms = 0;
+  for (size_t i = 0; !stack.empty() && i < stats.profile.size(); ++i) {
+    const Plan* node = stack.back();
+    stack.pop_back();
+    if (node->kind() == Plan::Kind::kComp) {
+      CompOp::Kind k = node->comp().kind;
+      if (k == CompOp::Kind::kBeta || k == CompOp::Kind::kGammaStar) {
+        ms += stats.profile[i].own_ms;
+      }
+      stack.push_back(node->child());
+    } else if (node->kind() == Plan::Kind::kJoin) {
+      stack.push_back(node->right());
+      stack.push_back(node->left());
+    }
+  }
+  return ms;
+}
+
 struct Run {
   int threads = 1;
   double ms = 0;
+  double beta_ms = 0;
   ExecStats stats;
   Relation result{Schema(std::vector<Column>())};
 };
@@ -65,6 +92,7 @@ Run TimeWithThreads(const Plan& plan, const Database& db, int threads,
     if (ms < run.ms) {
       run.ms = ms;
       run.stats = ex.stats();
+      run.beta_ms = BetaMs(plan, run.stats);
       run.result = std::move(out);
     }
   }
@@ -84,9 +112,11 @@ void AppendRunJson(std::string* out, const Run& r, double base_ms) {
   std::snprintf(
       buf, sizeof(buf),
       "        {\"threads\": %d, \"ms\": %.3f, \"speedup\": %.3f, "
-      "\"join_ms\": %.3f, \"comp_ms\": %.3f, \"hash_build_rows\": %lld}",
+      "\"join_ms\": %.3f, \"comp_ms\": %.3f, \"beta_ms\": %.3f, "
+      "\"hash_build_rows\": %lld}",
       r.threads, r.ms, r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
-      r.stats.comp_ms, static_cast<long long>(r.stats.hash_build_rows));
+      r.stats.comp_ms, r.beta_ms,
+      static_cast<long long>(r.stats.hash_build_rows));
   *out += buf;
 }
 
@@ -152,8 +182,8 @@ int Main(int argc, char** argv) {
       w.query = q.name;
       w.plan_kind = p.kind;
       std::printf("-- %s, %s plan\n", q.name.c_str(), p.kind);
-      std::printf("%8s %10s %8s %10s %10s %12s\n", "threads", "ms",
-                  "speedup", "join_ms", "comp_ms", "build_rows");
+      std::printf("%8s %10s %8s %10s %10s %10s %12s\n", "threads", "ms",
+                  "speedup", "join_ms", "comp_ms", "beta_ms", "build_rows");
       double base_ms = 0;
       for (int t : kThreads) {
         w.runs.push_back(TimeWithThreads(*p.plan, q.db, t, iters, tuning));
@@ -165,9 +195,9 @@ int Main(int argc, char** argv) {
           w.identical = false;
           all_identical = false;
         }
-        std::printf("%8d %10.2f %7.2fx %10.2f %10.2f %12lld\n", t, r.ms,
-                    r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
-                    r.stats.comp_ms,
+        std::printf("%8d %10.2f %7.2fx %10.2f %10.2f %10.2f %12lld\n", t,
+                    r.ms, r.ms > 0 ? base_ms / r.ms : 0.0, r.stats.join_ms,
+                    r.stats.comp_ms, r.beta_ms,
                     static_cast<long long>(r.stats.hash_build_rows));
       }
       std::printf("rows out: %lld, results byte-identical: %s\n\n",

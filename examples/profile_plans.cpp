@@ -25,10 +25,12 @@ int main(int argc, char** argv) {
   std::printf("Q1 at SF %.3f, nu=%.0f (f12 = %.3f)\n\n", sf, nu,
               MeasureF12(q.db, nu));
 
-  std::printf("==== EXPLAIN ANALYZE: direct plan ====\n%s\n",
-              ExplainAnalyze(*q.plan, q.db).c_str());
-
   Optimizer eca;
+  ExecStats stats;
+  Relation result = eca.Execute(*q.plan, q.db, &stats);
+  std::printf("==== EXPLAIN ANALYZE: direct plan ====\n%s\n",
+              ExplainAnalyze(*q.plan, stats).c_str());
+
   PlanPtr reordered;
   for (const OrderingNodePtr& theta : AllJoinOrderingTrees(
            q.plan->leaves(), PredicateRefSets(*q.plan))) {
@@ -38,10 +40,10 @@ int main(int argc, char** argv) {
     std::printf("reordering unavailable\n");
     return 1;
   }
+  eca.Execute(*reordered, q.db, &stats);
   std::printf("==== EXPLAIN ANALYZE: ECA plan ====\n%s\n",
-              ExplainAnalyze(*reordered, q.db).c_str());
+              ExplainAnalyze(*reordered, stats).c_str());
 
-  Relation result = eca.Execute(*q.plan, q.db);
   std::printf("first 3 of %lld result rows:\n%s",
               static_cast<long long>(result.NumRows()),
               result.ToString(3).c_str());

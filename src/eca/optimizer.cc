@@ -245,11 +245,14 @@ PlanPtr Optimizer::Reorder(const Plan& query,
   return RealizeOrdering(query, theta, policy());
 }
 
-Relation Optimizer::Execute(const Plan& plan, const Database& db) const {
+Relation Optimizer::Execute(const Plan& plan, const Database& db,
+                            ExecStats* stats) const {
   Executor ex(
       Executor::Options{options_.join_preference, options_.num_threads,
                         options_.exec_tuning});
-  return ex.Execute(plan, db);
+  Relation out = ex.Execute(plan, db);
+  if (stats != nullptr) *stats = ex.stats();
+  return out;
 }
 
 std::string Optimizer::Explain(const Plan& plan, const Database& db,

@@ -139,7 +139,7 @@ class Optimizer {
   // Governed execution: evaluates `plan` under `ctx`'s memory, deadline
   // and cancellation limits (Executor::ExecuteWithContext). On both
   // success and failure `stats`, when given, receives the executor's
-  // counters (peak_bytes, spilled_partitions, ...).
+  // counters (peak_bytes, spilled_partitions, ...) and per-node profile.
   StatusOr<Relation> ExecuteGoverned(const Plan& plan, const Database& db,
                                      QueryContext* ctx,
                                      ExecStats* stats = nullptr) const;
@@ -153,8 +153,11 @@ class Optimizer {
   // theta-reorderability); nullptr if unreachable under the approach.
   PlanPtr Reorder(const Plan& query, const OrderingNode& theta) const;
 
-  // Evaluates a plan (compensation operators included).
-  Relation Execute(const Plan& plan, const Database& db) const;
+  // Evaluates a plan (compensation operators included). `stats`, when
+  // given, receives the executor's counters and per-node profile
+  // (ExplainAnalyze renders it).
+  Relation Execute(const Plan& plan, const Database& db,
+                   ExecStats* stats = nullptr) const;
 
   // Multi-line report: the plan tree, its cost estimate, optionally the
   // provenance block of the Optimized that produced it, and (when table

@@ -17,33 +17,6 @@ namespace eca {
 
 namespace {
 
-// Runs fn(row) for every input row, morsel-parallel when a pool is given:
-// workers (the caller included) claim fixed-size morsels from a shared
-// cursor until the input is dry. fn must only touch state owned by its
-// row (the transforms below write into a pre-sized output slot per row),
-// so the result is identical for every thread count. A governed ctx is
-// observed at every morsel boundary — sequential runs included — so
-// deadline/cancellation latency is bounded by one morsel of work
-// regardless of how operators are fused.
-template <typename RowFn>
-void ForEachRow(const Relation& in, ThreadPool* pool, QueryContext* ctx,
-                const ExecTuning* tuning, const RowFn& fn) {
-  const ExecTuning t = tuning != nullptr ? tuning->Clamped() : ExecTuning();
-  MorselCursor cursor(in.NumRows(), t.morsel_rows);
-  auto worker = [&](int) {
-    int64_t begin, end, morsel;
-    while (cursor.Next(&begin, &end, &morsel)) {
-      if (ctx != nullptr && ctx->ShouldStop()) return;
-      for (int64_t i = begin; i < end; ++i) fn(i);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->RunOnWorkers(worker);
-  } else {
-    worker(0);
-  }
-}
-
 // Null mask of a tuple packed into words (bit i set = column i is NULL).
 // Distinct patterns (map keys) keep this owning form; per-row masks live
 // in a NullMaskMatrix (one flat allocation, no per-row heap traffic) and
@@ -139,63 +112,138 @@ class TupleSet {
   std::unordered_map<uint64_t, std::vector<Tuple>> map_;
 };
 
-// Defined after EvalBetaSorted, whose per-pattern sort it externalizes.
+// The paper's sort-based best-match (Section 6.1, the strategy behind
+// CBA's SQL implementation) and EvalBeta's governed spill path. For each
+// distinct null pattern P, sort the rows with P's non-NULL columns first
+// (then the rest), NULLS LAST per column: every pattern-P tuple that has a
+// dominator or duplicate then immediately follows a surviving one, and a
+// single scan eliminates it. One sort per pattern makes the elimination
+// exact; the paper's remark that "more than one sorting" may be needed
+// corresponds to inputs with several patterns. Each sort runs through
+// ExternalRowSorter, so resident memory is bounded by one sort run no
+// matter the input size. The sorter breaks ties by tag (ascending input
+// row index) and the scan reads rows back via their index, so the keep[]
+// decisions, the output rows and their order are the ones the in-memory
+// pattern-grouped EvalBeta produces.
 Relation EvalBetaExternal(const Relation& in, QueryContext* ctx,
-                          ExecStats* stats);
-
-}  // namespace
-
-Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in,
-                    ThreadPool* pool, QueryContext* ctx,
-                    const ExecTuning* tuning) {
-  ECA_CHECK(pred != nullptr);
-  CompiledPredicate compiled(pred, in.schema());
-  std::vector<int> cols = in.schema().ColumnsOf(attrs);
-  Relation out(in.schema());
-  // One output row per input row: pre-size and fill slots in parallel.
-  out.mutable_rows().resize(static_cast<size_t>(in.NumRows()));
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    if (compiled.EvalTrue(t)) {
-      out.mutable_rows()[static_cast<size_t>(i)] = t;
-    } else {
-      Tuple u = t;
-      for (int c : cols) {
-        u[static_cast<size_t>(c)] =
-            Value::Null(in.schema().column(c).type);
-      }
-      out.mutable_rows()[static_cast<size_t>(i)] = std::move(u);
+                          ExecStats* stats) {
+  TraceSpan span("comp/beta-external");
+  if (span.active()) {
+    span.AppendArg("rows", static_cast<long long>(in.NumRows()));
+  }
+  const int num_cols = in.schema().NumColumns();
+  NullMaskMatrix masks;
+  masks.Build(in);
+  std::unordered_map<NullMask, int, MaskHash> patterns;
+  std::vector<bool> keep(static_cast<size_t>(in.NumRows()), true);
+  NullMask mscratch;
+  for (int64_t i = 0; i < in.NumRows(); ++i) {
+    if (masks.NullCount(i) == num_cols && num_cols > 0) {
+      keep[static_cast<size_t>(i)] = false;  // all-NULL convention
+      continue;
     }
-  });
-  return out;
-}
+    MaskFromMatrix(masks, i, &mscratch);
+    patterns.emplace(mscratch, 1);
+  }
 
-Relation EvalGamma(RelSet attrs, const Relation& in, ThreadPool* pool,
-                   QueryContext* ctx, const ExecTuning* tuning) {
-  std::vector<int> cols = in.schema().ColumnsOf(attrs);
-  ECA_CHECK_MSG(!cols.empty(), "gamma over attributes absent from input");
-  // Filter: mark selected rows in parallel, emit sequentially in row
-  // order (so the output is identical for every thread count).
-  std::vector<uint8_t> selected(static_cast<size_t>(in.NumRows()), 0);
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    bool all_null = true;
-    for (int c : cols) {
-      if (!t[static_cast<size_t>(c)].is_null()) {
-        all_null = false;
-        break;
+  SpillDir dir("eca-beta", ctx->spill_dir());
+  SpillStats sstats;
+  const int64_t soft = ctx->tracker()->soft_bytes();
+  const int64_t run_bytes =
+      soft > 0 ? std::max<int64_t>(soft / 8, int64_t{64} << 10)
+               : int64_t{16} << 20;
+  ExecCharge run_charge(ctx);
+  Status status = run_charge.Add(run_bytes, "beta external-sort run");
+
+  for (const auto& [pattern, unused] : patterns) {
+    if (!status.ok()) break;
+    (void)unused;
+    std::vector<int> key_cols;
+    key_cols.reserve(static_cast<size_t>(num_cols));
+    for (int c = 0; c < num_cols; ++c) {  // non-NULL-in-P columns first
+      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 0) {
+        key_cols.push_back(c);
       }
     }
-    selected[static_cast<size_t>(i)] = all_null ? 1 : 0;
-  });
+    size_t agree_prefix = key_cols.size();
+    for (int c = 0; c < num_cols; ++c) {
+      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 1) {
+        key_cols.push_back(c);
+      }
+    }
+    auto value_less = [&key_cols](const Tuple& ta, const Tuple& tb) {
+      for (int c : key_cols) {
+        const Value& va = ta[static_cast<size_t>(c)];
+        const Value& vb = tb[static_cast<size_t>(c)];
+        if (va.is_null() != vb.is_null()) return vb.is_null();
+        if (va.is_null()) continue;
+        int cmp = va.Compare(vb);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    };
+    ExternalRowSorter sorter(&dir, value_less, run_bytes, &sstats);
+    for (int64_t i = 0; i < in.NumRows() && status.ok(); ++i) {
+      if (keep[static_cast<size_t>(i)]) {
+        status = sorter.Add(static_cast<uint64_t>(i),
+                            in.rows()[static_cast<size_t>(i)]);
+      }
+    }
+    if (!status.ok()) break;
+    int64_t prev = -1;
+    int64_t seen = 0;
+    status = sorter.Drain([&](uint64_t tag, Tuple&) -> Status {
+      if ((++seen & 1023) == 0 && ctx->ShouldStop()) {
+        return ctx->StopStatus();
+      }
+      int64_t idx = static_cast<int64_t>(tag);
+      if (prev >= 0 && RowMaskEquals(masks, idx, pattern)) {
+        const Tuple& t = in.rows()[static_cast<size_t>(idx)];
+        const Tuple& p = in.rows()[static_cast<size_t>(prev)];
+        bool agree = true;
+        for (size_t k = 0; k < agree_prefix; ++k) {
+          int c = key_cols[k];
+          const Value& vp = p[static_cast<size_t>(c)];
+          if (vp.is_null() || !vp.SameAs(t[static_cast<size_t>(c)])) {
+            agree = false;
+            break;
+          }
+        }
+        if (agree && masks.NullCount(prev) <= masks.NullCount(idx)) {
+          // Dominated (strictly fewer NULLs) or duplicate (equal pattern
+          // and full agreement: prefix agreement, both NULL elsewhere).
+          bool duplicate = RowMasksEqual(masks, prev, idx);
+          bool dominated = masks.NullCount(prev) < masks.NullCount(idx);
+          if (duplicate || dominated) {
+            keep[static_cast<size_t>(idx)] = false;
+            return Status::OK();  // prev stays the reference survivor
+          }
+        }
+      }
+      prev = idx;
+      return Status::OK();
+    });
+    if (stats != nullptr) stats->spilled_sort_runs += sorter.runs_spilled();
+  }
+
+  if (stats != nullptr) {
+    stats->spill_bytes += sstats.bytes_written;
+    stats->spill_read_bytes += sstats.bytes_read;
+  }
+  if (!status.ok()) {
+    ctx->RecordError(std::move(status));
+    return Relation(in.schema());
+  }
   Relation out(in.schema());
   for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (selected[static_cast<size_t>(i)]) {
+    if (keep[static_cast<size_t>(i)]) {
       out.Add(in.rows()[static_cast<size_t>(i)]);
     }
   }
   return out;
 }
+
+}  // namespace
 
 Relation EvalBeta(const Relation& in, QueryContext* ctx, ExecStats* stats) {
   // Governed escalation: past the soft threshold the pattern-group
@@ -330,266 +378,6 @@ Relation EvalBetaNaive(const Relation& in) {
     if (!spurious[i]) out.Add(rows[i]);
   }
   return out;
-}
-
-Relation EvalBetaSorted(const Relation& in) {
-  const int num_cols = in.schema().NumColumns();
-  // Distinct null patterns present in the input; per-row masks stay in
-  // the flat matrix.
-  NullMaskMatrix masks;
-  masks.Build(in);
-  std::unordered_map<NullMask, int, MaskHash> patterns;
-  std::vector<bool> keep(static_cast<size_t>(in.NumRows()), true);
-  NullMask scratch;
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (masks.NullCount(i) == num_cols && num_cols > 0) {
-      keep[static_cast<size_t>(i)] = false;  // all-NULL convention
-      continue;
-    }
-    MaskFromMatrix(masks, i, &scratch);
-    patterns.emplace(scratch, 1);
-  }
-
-  // One sorting pass per pattern P: order by P's non-NULL columns first
-  // (then the rest), NULLS LAST per column. Any tuple of pattern P then
-  // immediately follows a tuple that agrees on its non-NULL columns — a
-  // dominator or duplicate — if one exists.
-  std::vector<int64_t> order;
-  order.reserve(static_cast<size_t>(in.NumRows()));
-  for (const auto& [pattern, unused] : patterns) {
-    (void)unused;
-    std::vector<int> key_cols;
-    key_cols.reserve(static_cast<size_t>(num_cols));
-    for (int c = 0; c < num_cols; ++c) {  // non-NULL-in-P columns first
-      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 0) {
-        key_cols.push_back(c);
-      }
-    }
-    size_t agree_prefix = key_cols.size();  // columns a dominator must match
-    for (int c = 0; c < num_cols; ++c) {
-      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 1) {
-        key_cols.push_back(c);
-      }
-    }
-    order.clear();
-    for (int64_t i = 0; i < in.NumRows(); ++i) {
-      if (keep[static_cast<size_t>(i)]) order.push_back(i);
-    }
-    auto value_less = [&](int64_t a, int64_t b) {
-      const Tuple& ta = in.rows()[static_cast<size_t>(a)];
-      const Tuple& tb = in.rows()[static_cast<size_t>(b)];
-      for (int c : key_cols) {
-        const Value& va = ta[static_cast<size_t>(c)];
-        const Value& vb = tb[static_cast<size_t>(c)];
-        // NULLS LAST within each key column.
-        if (va.is_null() != vb.is_null()) return vb.is_null();
-        int cmp = va.Compare(vb);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    };
-    std::sort(order.begin(), order.end(), value_less);
-    // Scan: a pattern-P tuple is spurious if its surviving predecessor
-    // agrees on the prefix columns and has fewer-or-equal NULLs.
-    int64_t prev = -1;
-    for (int64_t idx : order) {
-      if (prev >= 0 && RowMaskEquals(masks, idx, pattern)) {
-        const Tuple& t = in.rows()[static_cast<size_t>(idx)];
-        const Tuple& p = in.rows()[static_cast<size_t>(prev)];
-        bool agree = true;
-        for (size_t k = 0; k < agree_prefix; ++k) {
-          int c = key_cols[k];
-          const Value& vp = p[static_cast<size_t>(c)];
-          if (vp.is_null() ||
-              !vp.SameAs(t[static_cast<size_t>(c)])) {
-            agree = false;
-            break;
-          }
-        }
-        if (agree && masks.NullCount(prev) <= masks.NullCount(idx)) {
-          // Dominated (strictly fewer NULLs) or duplicate (equal pattern
-          // and full agreement — prefix agreement plus both all-NULL
-          // elsewhere).
-          bool duplicate = RowMasksEqual(masks, prev, idx);
-          bool dominated = masks.NullCount(prev) < masks.NullCount(idx);
-          if (duplicate || dominated) {
-            keep[static_cast<size_t>(idx)] = false;
-            continue;  // prev stays the reference survivor
-          }
-        }
-      }
-      prev = idx;
-    }
-  }
-
-  Relation out(in.schema());
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (keep[static_cast<size_t>(i)]) out.Add(in.rows()[static_cast<size_t>(i)]);
-  }
-  return out;
-}
-
-namespace {
-
-// The governed spill path for beta: EvalBetaSorted's per-pattern sort
-// routed through ExternalRowSorter, so resident memory is bounded by one
-// sort run no matter the input size. The sorter breaks ties by tag
-// (ascending input row index), a legal ordering for EvalBetaSorted's
-// unstable std::sort, and the elimination scan reads rows back via their
-// index — the keep[] decisions, the output rows, and their order are the
-// ones EvalBeta produces.
-Relation EvalBetaExternal(const Relation& in, QueryContext* ctx,
-                          ExecStats* stats) {
-  TraceSpan span("comp/beta-external");
-  if (span.active()) {
-    span.AppendArg("rows", static_cast<long long>(in.NumRows()));
-  }
-  const int num_cols = in.schema().NumColumns();
-  NullMaskMatrix masks;
-  masks.Build(in);
-  std::unordered_map<NullMask, int, MaskHash> patterns;
-  std::vector<bool> keep(static_cast<size_t>(in.NumRows()), true);
-  NullMask mscratch;
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (masks.NullCount(i) == num_cols && num_cols > 0) {
-      keep[static_cast<size_t>(i)] = false;  // all-NULL convention
-      continue;
-    }
-    MaskFromMatrix(masks, i, &mscratch);
-    patterns.emplace(mscratch, 1);
-  }
-
-  SpillDir dir("eca-beta", ctx->spill_dir());
-  SpillStats sstats;
-  const int64_t soft = ctx->tracker()->soft_bytes();
-  const int64_t run_bytes =
-      soft > 0 ? std::max<int64_t>(soft / 8, int64_t{64} << 10)
-               : int64_t{16} << 20;
-  ExecCharge run_charge(ctx);
-  Status status = run_charge.Add(run_bytes, "beta external-sort run");
-
-  for (const auto& [pattern, unused] : patterns) {
-    if (!status.ok()) break;
-    (void)unused;
-    std::vector<int> key_cols;
-    key_cols.reserve(static_cast<size_t>(num_cols));
-    for (int c = 0; c < num_cols; ++c) {  // non-NULL-in-P columns first
-      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 0) {
-        key_cols.push_back(c);
-      }
-    }
-    size_t agree_prefix = key_cols.size();
-    for (int c = 0; c < num_cols; ++c) {
-      if (((pattern[static_cast<size_t>(c) / 64] >> (c % 64)) & 1) == 1) {
-        key_cols.push_back(c);
-      }
-    }
-    auto value_less = [&key_cols](const Tuple& ta, const Tuple& tb) {
-      for (int c : key_cols) {
-        const Value& va = ta[static_cast<size_t>(c)];
-        const Value& vb = tb[static_cast<size_t>(c)];
-        if (va.is_null() != vb.is_null()) return vb.is_null();
-        if (va.is_null()) continue;
-        int cmp = va.Compare(vb);
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    };
-    ExternalRowSorter sorter(&dir, value_less, run_bytes, &sstats);
-    for (int64_t i = 0; i < in.NumRows() && status.ok(); ++i) {
-      if (keep[static_cast<size_t>(i)]) {
-        status = sorter.Add(static_cast<uint64_t>(i),
-                            in.rows()[static_cast<size_t>(i)]);
-      }
-    }
-    if (!status.ok()) break;
-    int64_t prev = -1;
-    int64_t seen = 0;
-    status = sorter.Drain([&](uint64_t tag, Tuple&) -> Status {
-      if ((++seen & 1023) == 0 && ctx->ShouldStop()) {
-        return ctx->StopStatus();
-      }
-      int64_t idx = static_cast<int64_t>(tag);
-      if (prev >= 0 && RowMaskEquals(masks, idx, pattern)) {
-        const Tuple& t = in.rows()[static_cast<size_t>(idx)];
-        const Tuple& p = in.rows()[static_cast<size_t>(prev)];
-        bool agree = true;
-        for (size_t k = 0; k < agree_prefix; ++k) {
-          int c = key_cols[k];
-          const Value& vp = p[static_cast<size_t>(c)];
-          if (vp.is_null() || !vp.SameAs(t[static_cast<size_t>(c)])) {
-            agree = false;
-            break;
-          }
-        }
-        if (agree && masks.NullCount(prev) <= masks.NullCount(idx)) {
-          bool duplicate = RowMasksEqual(masks, prev, idx);
-          bool dominated = masks.NullCount(prev) < masks.NullCount(idx);
-          if (duplicate || dominated) {
-            keep[static_cast<size_t>(idx)] = false;
-            return Status::OK();  // prev stays the reference survivor
-          }
-        }
-      }
-      prev = idx;
-      return Status::OK();
-    });
-    if (stats != nullptr) stats->spilled_sort_runs += sorter.runs_spilled();
-  }
-
-  if (stats != nullptr) {
-    stats->spill_bytes += sstats.bytes_written;
-    stats->spill_read_bytes += sstats.bytes_read;
-  }
-  if (!status.ok()) {
-    ctx->RecordError(std::move(status));
-    return Relation(in.schema());
-  }
-  Relation out(in.schema());
-  for (int64_t i = 0; i < in.NumRows(); ++i) {
-    if (keep[static_cast<size_t>(i)]) {
-      out.Add(in.rows()[static_cast<size_t>(i)]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in,
-                       ThreadPool* pool, QueryContext* ctx,
-                       ExecStats* stats, const ExecTuning* tuning) {
-  std::vector<int> acols = in.schema().ColumnsOf(attrs);
-  ECA_CHECK_MSG(!acols.empty(), "gamma* over attributes absent from input");
-  std::vector<int> nulled_cols;
-  for (int c = 0; c < in.schema().NumColumns(); ++c) {
-    if (!keep.Contains(in.schema().column(c).rel_id)) nulled_cols.push_back(c);
-  }
-  // The modification scan is 1:1 and row-parallel; the best-match stage
-  // below is inherently sequential (cross-row domination).
-  Relation modified(in.schema());
-  modified.mutable_rows().resize(static_cast<size_t>(in.NumRows()));
-  ForEachRow(in, pool, ctx, tuning, [&](int64_t i) {
-    const Tuple& t = in.rows()[static_cast<size_t>(i)];
-    bool all_null = true;
-    for (int c : acols) {
-      if (!t[static_cast<size_t>(c)].is_null()) {
-        all_null = false;
-        break;
-      }
-    }
-    if (all_null) {
-      modified.mutable_rows()[static_cast<size_t>(i)] = t;  // gamma_A branch
-    } else {
-      Tuple u = t;  // R' branch: null everything outside `keep`
-      for (int c : nulled_cols) {
-        u[static_cast<size_t>(c)] =
-            Value::Null(in.schema().column(c).type);
-      }
-      modified.mutable_rows()[static_cast<size_t>(i)] = std::move(u);
-    }
-  });
-  return EvalBeta(modified, ctx, stats);
 }
 
 Relation EvalProject(RelSet attrs, const Relation& in) {

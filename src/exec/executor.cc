@@ -54,6 +54,8 @@ Executor::~Executor() = default;
 
 Relation Executor::Execute(const Plan& plan, const Database& db) {
   TraceSpan span("execute");
+  stats_.profile.clear();
+  depth_ = 0;
   ExecStats before = stats_;
   Relation out = ExecNode(plan, db);
   if (span.active()) {
@@ -98,44 +100,58 @@ void Executor::PublishStatsDelta(const ExecStats& before) const {
   if (stats_.peak_bytes > 0) peak->Record(stats_.peak_bytes);
 }
 
+size_t Executor::AddProfile(bool fused) {
+  NodeProfile p;
+  p.depth = depth_;
+  p.fused = fused;
+  stats_.profile.push_back(p);
+  return stats_.profile.size() - 1;
+}
+
 Relation Executor::ExecNode(const Plan& plan, const Database& db) {
   // Governed runs stop descending the moment the query is cancelled, past
   // its deadline, or carrying an error: subtrees return empty relations
   // that ExecuteWithContext discards in favor of StopStatus().
   if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
+  const size_t slot = AddProfile(/*fused=*/false);
+  ++depth_;
   Relation out;
   switch (plan.kind()) {
     case Plan::Kind::kLeaf: {
       // Leaf scans materialize a copy of the base table; morsel-parallel
       // row copy when a pool is available (slots are written by row
       // index, so the output is identical either way).
+      auto t0 = Clock::now();
       const Relation& table = db.table(plan.rel_id());
       if (pool_ == nullptr) {
         out = table;
-        break;
-      }
-      out = Relation(table.schema());
-      out.mutable_rows().resize(table.rows().size());
-      MorselCursor cursor(table.NumRows(),
-                          options_.tuning.Clamped().morsel_rows);
-      pool_->RunOnWorkers([&](int) {
-        int64_t begin, end, morsel;
-        while (cursor.Next(&begin, &end, &morsel)) {
-          for (int64_t i = begin; i < end; ++i) {
-            out.mutable_rows()[static_cast<size_t>(i)] =
-                table.rows()[static_cast<size_t>(i)];
+      } else {
+        out = Relation(table.schema());
+        out.mutable_rows().resize(table.rows().size());
+        MorselCursor cursor(table.NumRows(),
+                            options_.tuning.Clamped().morsel_rows);
+        pool_->RunOnWorkers([&](int) {
+          int64_t begin, end, morsel;
+          while (cursor.Next(&begin, &end, &morsel)) {
+            for (int64_t i = begin; i < end; ++i) {
+              out.mutable_rows()[static_cast<size_t>(i)] =
+                  table.rows()[static_cast<size_t>(i)];
+            }
           }
-        }
-      });
+        });
+      }
+      stats_.profile[slot].own_ms = MsSince(t0);
       break;
     }
     case Plan::Kind::kJoin:
-      out = ExecJoin(plan, db);
+      out = ExecJoin(plan, db, slot);
       break;
     case Plan::Kind::kComp:
-      out = ExecComp(plan, db);
+      out = ExecComp(plan, db, slot);
       break;
   }
+  --depth_;
+  stats_.profile[slot].rows = out.NumRows();
   // Every plan node's materialized output is charged to the query tracker
   // as it comes into existence; the parent releases it once consumed.
   ChargeNodeOutput(out);
@@ -149,6 +165,8 @@ StatusOr<Relation> Executor::ExecuteWithContext(const Plan& plan,
   TraceSpan span("execute");
   if (span.active()) span.AppendArg("governed", "yes");
   ctx_ = ctx;
+  stats_.profile.clear();
+  depth_ = 0;
   ExecStats before = stats_;
   Relation out = ExecNode(plan, db);
   stats_.peak_bytes = ctx->tracker()->peak();
@@ -185,7 +203,7 @@ void Executor::ReleaseNodeOutput(const Relation& rel) {
 }
 
 Relation Executor::ExecJoin(const Plan& plan, const Database& db,
-                            const FusedCompChain* fused) {
+                            size_t slot, const FusedCompChain* fused) {
   Relation left = ExecNode(*plan.left(), db);
   Relation right = ExecNode(*plan.right(), db);
   if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
@@ -202,7 +220,9 @@ Relation Executor::ExecJoin(const Plan& plan, const Database& db,
   Relation out = EvalJoin(plan.op(), plan.pred(), left, right,
                           options_.join_preference, &stats_, pool_.get(),
                           ctx_, &options_.tuning, fused);
-  stats_.join_ms += MsSince(t0);
+  const double ms = MsSince(t0);
+  stats_.join_ms += ms;
+  stats_.profile[slot].own_ms = ms;
   stats_.rows_produced += out.NumRows();
   if (span.active()) {
     span.AppendArg("rows", static_cast<long long>(out.NumRows()));
@@ -232,7 +252,8 @@ const char* CompSpanName(CompOp::Kind kind) {
 
 }  // namespace
 
-Relation Executor::ExecComp(const Plan& plan, const Database& db) {
+Relation Executor::ExecComp(const Plan& plan, const Database& db,
+                            size_t slot) {
   // Collect the maximal fusable stack of row-local compensation steps
   // rooted at this node: lambda and gamma always fuse; gamma* fuses only
   // as the top of the segment (its best-match half, beta, must run after
@@ -263,7 +284,9 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     Relation out = c.kind == CompOp::Kind::kBeta
                        ? EvalBeta(child, ctx_, &stats_)
                        : EvalProject(c.attrs, child);
-    stats_.comp_ms += MsSince(t0);
+    const double ms = MsSince(t0);
+    stats_.comp_ms += ms;
+    stats_.profile[slot].own_ms = ms;
     stats_.rows_produced += out.NumRows();
     if (span.active()) {
       span.AppendArg("rows", static_cast<long long>(out.NumRows()));
@@ -296,13 +319,26 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     }
   }
 
+  // Profile entries for the steps below the segment top, in preorder.
+  // ExecNode entered `plan` at depth_ - 1; the base sits one level below
+  // the last fused step.
+  const int top_depth = depth_ - 1;
+  for (size_t i = 1; i < fusable.size(); ++i) {
+    depth_ = top_depth + static_cast<int>(i);
+    AddProfile(/*fused=*/true);
+  }
+  depth_ = top_depth + static_cast<int>(fusable.size());
   Relation out;
   if (base->kind() == Plan::Kind::kJoin) {
     // The chain rides the join's probe pipeline: every emitted row passes
     // through it in place, no intermediate relation exists.
-    out = ExecJoin(*base, db, &chain);
+    const size_t base_slot = AddProfile(/*fused=*/true);
+    ++depth_;
+    out = ExecJoin(*base, db, base_slot, &chain);
+    depth_ = top_depth + 1;
   } else {
     Relation base_rel = ExecNode(*base, db);
+    depth_ = top_depth + 1;
     if (ctx_ != nullptr && ctx_->ShouldStop()) return Relation();
     TraceSpan span("comp/fused");
     if (span.active()) {
@@ -311,7 +347,9 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     auto t0 = Clock::now();
     out = ApplyFusedChain(chain, base_rel, pool_.get(), ctx_,
                           &options_.tuning);
-    stats_.comp_ms += MsSince(t0);
+    const double ms = MsSince(t0);
+    stats_.comp_ms += ms;
+    stats_.profile[slot].own_ms += ms;
     ReleaseNodeOutput(base_rel);
   }
   stats_.comp_nodes += static_cast<int64_t>(fusable.size());
@@ -323,7 +361,9 @@ Relation Executor::ExecComp(const Plan& plan, const Database& db) {
     TraceSpan bspan("comp/beta");
     auto t0 = Clock::now();
     Relation bout = EvalBeta(out, ctx_, &stats_);
-    stats_.comp_ms += MsSince(t0);
+    const double ms = MsSince(t0);
+    stats_.comp_ms += ms;
+    stats_.profile[slot].own_ms += ms;
     if (bspan.active()) {
       bspan.AppendArg("rows", static_cast<long long>(bout.NumRows()));
     }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "algebra/plan.h"
 #include "common/status.h"
@@ -15,6 +16,25 @@ namespace eca {
 class ThreadPool;
 class QueryContext;
 class FusedCompChain;
+
+// One plan node's share of an Execute call, as EXPLAIN ANALYZE prints it
+// (exec/explain.h). Entries hold no labels; they are in preorder, the
+// order Plan::ToString() prints the nodes, so the renderer pairs them
+// with the plan.
+struct NodeProfile {
+  int depth = 0;
+  // Output rows of the node. 0 and meaningless when `fused`.
+  int64_t rows = 0;
+  // Wall clock spent in this node alone, children excluded. A fused
+  // chain's time goes to the join whose probe loop runs it, or to the
+  // segment top when the base is not a join; gamma*'s best-match half
+  // goes to the gamma* node.
+  double own_ms = 0;
+  // The node ran inside the fused pipeline of a compensation segment
+  // above it (a chain step below the segment top, or the chain's base
+  // join), so its output never materialized.
+  bool fused = false;
+};
 
 // Execution statistics accumulated over one Execute() call.
 struct ExecStats {
@@ -38,6 +58,11 @@ struct ExecStats {
   int64_t spill_bytes = 0;         // serialized bytes written to temp files
   int64_t spill_read_bytes = 0;    // serialized bytes read back
   int64_t spilled_sort_runs = 0;   // external-sort runs spilled (beta/gamma*)
+
+  // Per-node record of the most recent Execute / ExecuteWithContext call
+  // (earlier calls' records are dropped; the counters above accumulate).
+  // A run stopped by its governor leaves a preorder prefix.
+  std::vector<NodeProfile> profile;
 
   void Reset() { *this = ExecStats(); }
 };
@@ -97,21 +122,27 @@ class Executor {
  private:
   // Recursive evaluation body; the public entry points wrap it in an
   // "execute" trace span and publish this call's ExecStats delta as
-  // exec.* metrics (docs/observability.md) once the tree is done.
+  // exec.* metrics (docs/observability.md) once the tree is done. Every
+  // node appends its NodeProfile to stats_.profile on entry (preorder)
+  // and fills it in on exit.
   Relation ExecNode(const Plan& plan, const Database& db);
+  // Appends a profile entry at depth_ and returns its index.
+  size_t AddProfile(bool fused);
   // Publishes stats_ minus `before` into MetricsRegistry::Global(), so a
   // registry diff around one Execute call matches stats() exactly.
   void PublishStatsDelta(const ExecStats& before) const;
   // `fused` (optional) is a chain of row-local compensation steps stacked
   // directly above the join in the plan; the join applies it per emitted
-  // row inside its probe pipeline.
-  Relation ExecJoin(const Plan& plan, const Database& db,
+  // row inside its probe pipeline. The join's own time goes to
+  // stats_.profile[slot].
+  Relation ExecJoin(const Plan& plan, const Database& db, size_t slot,
                     const FusedCompChain* fused = nullptr);
   // Fusion dispatch: collects the maximal lambda/gamma/gamma*-modify
   // stack rooted at `plan` into a FusedCompChain and runs it inside the
   // base join's probe loop (or as one morsel pass over the materialized
   // base); beta and project are pipeline breakers and run standalone.
-  Relation ExecComp(const Plan& plan, const Database& db);
+  // `slot` is the profile entry of `plan` itself.
+  Relation ExecComp(const Plan& plan, const Database& db, size_t slot);
   // Charges `rel`'s rows to the query tracker as the durable output of a
   // plan node; records the error on failure. No-op when ungoverned.
   void ChargeNodeOutput(const Relation& rel);
@@ -121,6 +152,7 @@ class Executor {
   ExecStats stats_;
   std::unique_ptr<ThreadPool> pool_;  // null when num_threads == 1
   QueryContext* ctx_ = nullptr;  // non-null only inside ExecuteWithContext
+  int depth_ = 0;  // plan depth of the node ExecNode enters next
 };
 
 // --- Operator building blocks (exposed for unit tests and benches) --------
@@ -166,13 +198,6 @@ Relation ExecuteNaive(const Plan& plan, const Database& db);
 // one side, everything else concatenates).
 Schema JoinOutputSchema(JoinOp op, const Schema& left, const Schema& right);
 
-// lambda_{p,A}: NULLs the columns of relations in `attrs` for every tuple
-// on which `pred` does not evaluate to true. Morsel-parallel when a pool
-// is given (morsel-ordered assembly keeps the output order identical).
-Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in,
-                    ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                    const ExecTuning* tuning = nullptr);
-
 // beta: removes spurious (dominated or duplicated) tuples. Exact
 // per-attribute semantics via null-pattern grouping; near-linear when the
 // number of distinct null patterns is small (always the case for plan
@@ -185,41 +210,20 @@ Relation EvalLambda(const PredRef& pred, RelSet attrs, const Relation& in,
 // an empty R2, and gamma* above a full outerjoin).
 //
 // Under a governed ctx whose tracker is past (or would be pushed past) the
-// soft threshold, evaluation switches to the external-merge-sort variant of
-// EvalBetaSorted: one bounded-memory sort per null pattern, runs spilled
-// through the ctx spill dir. Output rows and order are identical.
+// soft threshold, evaluation switches to the paper's sort-based best-match
+// (Section 6.1, the strategy behind CBA's SQL implementation) run as an
+// external merge sort: one bounded-memory sort per null pattern, runs
+// spilled through the ctx spill dir. Output rows and order are identical.
+//
+// lambda, gamma and gamma*'s modify half have no standalone entry point:
+// they run as FusedCompChain steps (exec/fused_comp.h), and gamma* is its
+// modify step followed by EvalBeta.
 Relation EvalBeta(const Relation& in, QueryContext* ctx = nullptr,
                   ExecStats* stats = nullptr);
 
 // Reference O(n^2) beta, straight from the Section 2.2 definition (plus the
 // all-NULL convention above).
 Relation EvalBetaNaive(const Relation& in);
-
-// The paper's sort-based best-match (Section 6.1, the strategy behind
-// CBA's SQL implementation): sort so that every spurious tuple is
-// immediately preceded by a tuple that dominates or duplicates it, then
-// eliminate in a single scan. One sort per distinct null pattern (ordering
-// that pattern's non-NULL columns first, NULLS LAST within) makes the
-// elimination exact; the paper's remark that "more than one sorting" may
-// be needed corresponds to inputs with several patterns. Agrees with
-// EvalBeta on all inputs (tested); exposed separately so the two
-// implementations can be compared (bench_compensation_ops).
-Relation EvalBetaSorted(const Relation& in);
-
-// gamma_A: keeps tuples whose attributes of relations in `attrs` are all
-// NULL (Equation 7). Morsel-parallel when a pool is given.
-Relation EvalGamma(RelSet attrs, const Relation& in,
-                   ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                   const ExecTuning* tuning = nullptr);
-
-// gamma*_{A(B)}: Equation 8 — tuples with all-NULL A pass unchanged; other
-// tuples get every attribute outside `keep` NULLed; beta removes spurious
-// tuples. The modification scan is row-parallel when a pool is given; the
-// best-match stage is inherently sequential.
-Relation EvalGammaStar(RelSet attrs, RelSet keep, const Relation& in,
-                       ThreadPool* pool = nullptr, QueryContext* ctx = nullptr,
-                       ExecStats* stats = nullptr,
-                       const ExecTuning* tuning = nullptr);
 
 // pi_A at relation granularity.
 Relation EvalProject(RelSet attrs, const Relation& in);

@@ -1,105 +1,34 @@
 #include "exec/explain.h"
 
-#include <chrono>
-
 #include "common/str_util.h"
 
 namespace eca {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::string NodeLabel(const Plan& plan) {
-  switch (plan.kind()) {
-    case Plan::Kind::kLeaf:
-      return "scan R" + std::to_string(plan.rel_id());
-    case Plan::Kind::kJoin:
-      return std::string(JoinOpName(plan.op())) +
-             (plan.pred() ? "[" + plan.pred()->DisplayName() + "]" : "");
-    case Plan::Kind::kComp:
-      return plan.comp().ToString();
-  }
-  return "?";
-}
-
-// Recursive profiled execution. Children run first; the parent's own time
-// excludes them.
-Relation Run(const Plan& plan, const Database& db,
-             Executor::JoinPreference pref, int depth,
-             std::vector<NodeProfile>* out) {
-  size_t my_index = out->size();
-  out->push_back({depth, NodeLabel(plan), 0, 0});
-
-  Relation result;
-  double own_ms = 0;
-  switch (plan.kind()) {
-    case Plan::Kind::kLeaf: {
-      auto t0 = Clock::now();
-      result = db.table(plan.rel_id());
-      own_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                   .count();
-      break;
-    }
-    case Plan::Kind::kJoin: {
-      Relation left = Run(*plan.left(), db, pref, depth + 1, out);
-      Relation right = Run(*plan.right(), db, pref, depth + 1, out);
-      auto t0 = Clock::now();
-      result = EvalJoin(plan.op(), plan.pred(), left, right, pref);
-      own_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                   .count();
-      break;
-    }
-    case Plan::Kind::kComp: {
-      Relation child = Run(*plan.child(), db, pref, depth + 1, out);
-      auto t0 = Clock::now();
-      const CompOp& c = plan.comp();
-      switch (c.kind) {
-        case CompOp::Kind::kLambda:
-          result = EvalLambda(c.pred, c.attrs, child);
-          break;
-        case CompOp::Kind::kBeta:
-          result = EvalBeta(child);
-          break;
-        case CompOp::Kind::kGamma:
-          result = EvalGamma(c.attrs, child);
-          break;
-        case CompOp::Kind::kGammaStar:
-          result = EvalGammaStar(c.attrs, c.keep, child);
-          break;
-        case CompOp::Kind::kProject:
-          result = EvalProject(c.attrs, child);
-          break;
-      }
-      own_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                   .count();
-      break;
-    }
-  }
-  (*out)[my_index].rows = result.NumRows();
-  (*out)[my_index].millis = own_ms;
-  return result;
-}
-
-}  // namespace
-
-std::vector<NodeProfile> ProfilePlan(const Plan& plan, const Database& db,
-                                     Executor::JoinPreference pref) {
-  std::vector<NodeProfile> profiles;
-  Run(plan, db, pref, 0, &profiles);
-  return profiles;
-}
-
-std::string ExplainAnalyze(const Plan& plan, const Database& db,
-                           Executor::JoinPreference pref) {
-  std::vector<NodeProfile> profiles = ProfilePlan(plan, db, pref);
+std::string ExplainAnalyze(const Plan& plan, const ExecStats& stats) {
+  // Plan::ToString() prints one line per node in preorder, indented two
+  // spaces per level — the order and depth the profile records.
+  const std::string tree = plan.ToString();
   std::string out;
-  for (const NodeProfile& p : profiles) {
-    out += StrFormat("%s%-40s rows=%-8lld %8.3f ms\n",
-                     std::string(static_cast<size_t>(p.depth) * 2, ' ')
-                         .c_str(),
-                     p.label.c_str(), static_cast<long long>(p.rows),
-                     p.millis);
+  size_t node = 0;
+  for (size_t begin = 0; begin < tree.size(); ++node) {
+    size_t end = tree.find('\n', begin);
+    const std::string line = tree.substr(begin, end - begin);
+    begin = end + 1;
+    const int depth =
+        static_cast<int>(line.find_first_not_of(' ') / 2);
+    const NodeProfile* p =
+        node < stats.profile.size() && stats.profile[node].depth == depth
+            ? &stats.profile[node]
+            : nullptr;
+    if (p == nullptr) {
+      out += StrFormat("%-40s (not run)\n", line.c_str());
+    } else if (p->fused) {
+      out += StrFormat("%-40s fused         %8.3f ms\n", line.c_str(),
+                       p->own_ms);
+    } else {
+      out += StrFormat("%-40s rows=%-8lld %8.3f ms\n", line.c_str(),
+                       static_cast<long long>(p->rows), p->own_ms);
+    }
   }
   return out;
 }

@@ -2,34 +2,20 @@
 #define ECA_EXEC_EXPLAIN_H_
 
 #include <string>
-#include <vector>
 
 #include "algebra/plan.h"
-#include "exec/database.h"
 #include "exec/executor.h"
 
 namespace eca {
 
-// Per-operator execution profile collected by ExplainAnalyze.
-struct NodeProfile {
-  int depth = 0;
-  std::string label;   // operator rendering ("loj[p12]", "gamma{R1}", ...)
-  int64_t rows = 0;    // output rows
-  double millis = 0;   // time in this operator (children excluded)
-};
-
-// Executes `plan` while timing every operator and counting its output.
-// The profiles are in preorder (matching Plan::ToString()'s layout).
-std::vector<NodeProfile> ProfilePlan(
-    const Plan& plan, const Database& db,
-    Executor::JoinPreference pref = Executor::JoinPreference::kHash);
-
-// EXPLAIN ANALYZE rendering: the plan tree annotated with actual rows and
-// per-operator time. Handy for understanding where a compensated plan
-// spends its work (e.g. the best-match sort after a generalized outerjoin).
-std::string ExplainAnalyze(
-    const Plan& plan, const Database& db,
-    Executor::JoinPreference pref = Executor::JoinPreference::kHash);
+// EXPLAIN ANALYZE rendering: `plan` as Plan::ToString() prints it, each
+// node annotated with the actual rows and own time that the executor
+// recorded in `stats.profile` while running that plan (Executor::Execute
+// or ExecuteWithContext, Optimizer::Execute or ExecuteGoverned). The
+// numbers are the real run's — its thread count, join preference, fused
+// chains and spills. Nodes fused into a chain print "fused" in place of
+// rows; nodes a stopped run never reached print "(not run)".
+std::string ExplainAnalyze(const Plan& plan, const ExecStats& stats);
 
 }  // namespace eca
 

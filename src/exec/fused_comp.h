@@ -28,9 +28,11 @@ struct ExecTuning;
 // probe loop as rows are emitted — without materializing any
 // intermediate relation. Steps apply in pipeline order (deepest plan
 // node first); a row dropped by a gamma filter skips the rest of the
-// chain. Because every step is row-local and order-preserving, the fused
-// result is byte-identical to running the operators as separate
-// materializing passes, at any thread count.
+// chain. Because every step is row-local and order-preserving, the
+// result is the operators' definitions applied in turn (ExecuteNaive is
+// the oracle) and byte-identical at any thread count. The chain is the
+// only implementation of lambda, gamma and gamma*'s modify half; a single
+// operator is a one-step chain.
 class FusedCompChain {
  public:
   // Appends one step; called deepest-first by the executor's plan walk.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "exec/executor.h"
+#include "exec/query_context.h"
 #include "testing/random_data.h"
 
 #include "../test_util.h"
@@ -91,6 +93,23 @@ TEST(BetaTest, IdempotentOnRandomInputs) {
   }
 }
 
+// EvalBeta under a one-byte soft threshold: the paper's sort-based
+// best-match (Section 6.1), run as EvalBeta's external-sort spill path.
+Relation SpilledBeta(const Relation& in) {
+  static Counter* const escalations =
+      MetricsRegistry::Global().counter("governor.spill_escalate");
+  const int64_t before = escalations->value();
+  QueryContext ctx(SpillEverythingLimits());
+  Relation out = EvalBeta(in, &ctx);
+  EXPECT_FALSE(ctx.HasError()) << ctx.StopStatus().ToString();
+  if (in.NumRows() > 0) {
+    EXPECT_EQ(escalations->value(), before + 1)
+        << "EvalBeta did not take the sort-based spill path";
+  }
+  EXPECT_EQ(ctx.tracker()->used(), 0);
+  return out;
+}
+
 TEST(BetaTest, SortedImplementationMatchesNaive) {
   // The paper's sort-based best-match (Section 6.1) against the
   // definitional reference, on per-column NULL patterns.
@@ -109,7 +128,7 @@ TEST(BetaTest, SortedImplementationMatchesNaive) {
     for (const Tuple& t : with_key.rows()) {
       r.Add({t[1], t[2], t[3]});
     }
-    ExpectSameRelation(EvalBetaNaive(r), EvalBetaSorted(r),
+    ExpectSameRelation(EvalBetaNaive(r), SpilledBeta(r),
                        "sorted beta vs naive definition");
   }
 }
@@ -122,9 +141,9 @@ TEST(BetaTest, SortedImplementationMatchesFastOnPlanShapes) {
     Relation joined = EvalJoin(JoinOp::kLeftOuter,
                                EquiJoin(0, "a", 1, "a", "p"), db.table(0),
                                db.table(1));
-    Relation lam = EvalLambda(EquiJoin(0, "b", 1, "b", "q"),
-                              RelSet::Single(1), joined);
-    ExpectSameRelation(EvalBeta(lam), EvalBetaSorted(lam),
+    Relation lam = RunLambda(EquiJoin(0, "b", 1, "b", "q"),
+                             RelSet::Single(1), joined);
+    ExpectSameRelation(EvalBeta(lam), SpilledBeta(lam),
                        "sorted beta vs pattern-grouped beta");
   }
 }
@@ -162,7 +181,7 @@ TEST(LambdaTest, NullifiesFailingTuplesOnly) {
       {{I(1), I(1)}, {I(1), I(2)}, {N(), I(3)}});
   PredRef p = Eq(Col(0, "a"), Col(1, "b"));
   // Nullify R1's attributes where a != b (or unknown).
-  Relation out = EvalLambda(p, RelSet::Single(1), r);
+  Relation out = RunLambda(p, RelSet::Single(1), r);
   Relation expected = MakeRelation(
       {{0, "a", DataType::kInt64}, {1, "b", DataType::kInt64}},
       {{I(1), I(1)}, {I(1), N()}, {N(), N()}});
@@ -173,8 +192,8 @@ TEST(LambdaTest, FalsePredicateNullifiesEverything) {
   Relation r = MakeRelation(
       {{0, "a", DataType::kInt64}, {1, "b", DataType::kInt64}},
       {{I(1), I(1)}, {I(2), I(2)}});
-  Relation out = EvalLambda(Predicate::ConstBool(false),
-                            RelSet::FirstN(2), r);
+  Relation out = RunLambda(Predicate::ConstBool(false),
+                           RelSet::FirstN(2), r);
   for (const Tuple& t : out.rows()) {
     EXPECT_TRUE(t[0].is_null());
     EXPECT_TRUE(t[1].is_null());
@@ -186,7 +205,7 @@ TEST(LambdaTest, PreservesRowCount) {
   Rng rng(7);
   RandomDataOptions opts;
   Relation r = RandomRelation(rng, 0, opts);
-  Relation out = EvalLambda(Gt(Col(0, "a"), Lit(1)), RelSet::Single(0), r);
+  Relation out = RunLambda(Gt(Col(0, "a"), Lit(1)), RelSet::Single(0), r);
   EXPECT_EQ(out.NumRows(), r.NumRows());
 }
 
@@ -206,7 +225,7 @@ Relation Example41Input() {
 }
 
 TEST(GammaTest, SelectsAllNullTuples) {
-  Relation out = EvalGamma(RelSet::Single(0), Example41Input());
+  Relation out = RunGamma(RelSet::Single(0), Example41Input());
   ASSERT_EQ(out.NumRows(), 1);
   EXPECT_TRUE(out.rows()[0][0].is_null());
   EXPECT_EQ(out.rows()[0][1].AsStr(), "b1");
@@ -216,8 +235,8 @@ TEST(GammaStarTest, PaperExample41) {
   // gamma*_{A(B)}: the NULL-A tuple passes; the other two become
   // (null, b1, null) and (null, b2, null); (null, b1, null) is dominated by
   // the surviving (null, b1, c2) tuple, (null, b2, null) survives.
-  Relation out = EvalGammaStar(RelSet::Single(0), RelSet::Single(1),
-                               Example41Input());
+  Relation out = RunGammaStar(RelSet::Single(0), RelSet::Single(1),
+                              Example41Input());
   Relation expected = MakeRelation({{0, "A", DataType::kString},
                                     {1, "B", DataType::kString},
                                     {2, "C", DataType::kString}},
@@ -240,10 +259,10 @@ TEST(GammaStarTest, MatchesDefinitionComposition) {
                                db.table(0), db.table(1));
     RelSet a = RelSet::Single(1);
     RelSet keep = RelSet::Single(0);
-    Relation fast = EvalGammaStar(a, keep, joined);
+    Relation fast = RunGammaStar(a, keep, joined);
 
     // Composition per Equation 8.
-    Relation selected = EvalGamma(a, joined);
+    Relation selected = RunGamma(a, joined);
     Relation rest(joined.schema());
     {
       std::vector<int> acols = joined.schema().ColumnsOf(a);
@@ -255,8 +274,8 @@ TEST(GammaStarTest, MatchesDefinitionComposition) {
         if (!all_null) rest.Add(t);
       }
     }
-    Relation modified = EvalLambda(Predicate::ConstBool(false),
-                                   joined.schema().rels().Minus(keep), rest);
+    Relation modified = RunLambda(Predicate::ConstBool(false),
+                                  joined.schema().rels().Minus(keep), rest);
     Relation unioned = selected;
     for (const Tuple& t : modified.rows()) unioned.Add(t);
     Relation expected = EvalBetaNaive(unioned);

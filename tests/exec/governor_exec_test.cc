@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "eca/optimizer.h"
 #include "exec/executor.h"
 #include "exec/query_context.h"
@@ -59,16 +60,6 @@ Relation BigRel(int rel_id, int rows, uint64_t seed, int64_t key_domain) {
                        {rel_id, "a", DataType::kInt64},
                        {rel_id, "b", DataType::kInt64}},
                       std::move(data));
-}
-
-// A context whose soft threshold is one byte: every governed hash join
-// escalates to the grace (spill-to-disk) path and every governed
-// best-match to external merge sort.
-QueryContext::Limits SpillEverythingLimits() {
-  QueryContext::Limits limits;
-  limits.mem_limit_bytes = int64_t{1} << 30;
-  limits.mem_soft_bytes = 1;
-  return limits;
 }
 
 constexpr JoinOp kAllJoinOps[] = {
@@ -135,35 +126,42 @@ TEST(GovernorSpillTest, CompensationOpsSpilledByteIdentical) {
     EXPECT_GT(stats.spilled_sort_runs, 0);
     EXPECT_EQ(ctx.tracker()->used(), 0);
   }
-  {
-    QueryContext ctx(SpillEverythingLimits());
-    Relation governed =
-        EvalLambda(EquiJoin(0, "b", 1, "b"), RelSet::Single(1), joined,
-                   /*pool=*/nullptr, &ctx);
-    ASSERT_FALSE(ctx.HasError());
-    ExpectIdentical(EvalLambda(EquiJoin(0, "b", 1, "b"), RelSet::Single(1),
-                               joined),
-                    governed, "governed lambda");
-  }
-  {
-    QueryContext ctx(SpillEverythingLimits());
-    Relation governed = EvalGamma(RelSet::Single(1), joined,
-                                  /*pool=*/nullptr, &ctx);
-    ASSERT_FALSE(ctx.HasError());
-    ExpectIdentical(EvalGamma(RelSet::Single(1), joined), governed,
-                    "governed gamma");
-  }
-  {
-    QueryContext ctx(SpillEverythingLimits());
-    ExecStats stats;
-    Relation governed =
-        EvalGammaStar(RelSet::Single(1), RelSet::Single(0), joined,
-                      /*pool=*/nullptr, &ctx, &stats);
-    ASSERT_FALSE(ctx.HasError()) << ctx.StopStatus().ToString();
-    ExpectIdentical(EvalGammaStar(RelSet::Single(1), RelSet::Single(0),
-                                  joined),
-                    governed, "governed gamma*");
-    EXPECT_GT(stats.spilled_sort_runs, 0);  // gamma*'s best-match spilled
+  // lambda, gamma and gamma* as the executor runs them (a one-step fused
+  // chain, plus EvalBeta for gamma*), governed at 1 and 4 threads against
+  // the ungoverned sequential run.
+  const PredRef lambda_pred = EquiJoin(0, "b", 1, "b");
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string at = p == nullptr ? " threads=1" : " threads=4";
+    {
+      QueryContext ctx(SpillEverythingLimits());
+      Relation governed =
+          RunLambda(lambda_pred, RelSet::Single(1), joined, p, &ctx);
+      ASSERT_FALSE(ctx.HasError());
+      ExpectIdentical(RunLambda(lambda_pred, RelSet::Single(1), joined),
+                      governed, "governed lambda" + at);
+      EXPECT_EQ(ctx.tracker()->used(), 0);
+    }
+    {
+      QueryContext ctx(SpillEverythingLimits());
+      Relation governed = RunGamma(RelSet::Single(1), joined, p, &ctx);
+      ASSERT_FALSE(ctx.HasError());
+      ExpectIdentical(RunGamma(RelSet::Single(1), joined), governed,
+                      "governed gamma" + at);
+      EXPECT_EQ(ctx.tracker()->used(), 0);
+    }
+    {
+      QueryContext ctx(SpillEverythingLimits());
+      ExecStats stats;
+      Relation governed = RunGammaStar(RelSet::Single(1), RelSet::Single(0),
+                                       joined, p, &ctx, &stats);
+      ASSERT_FALSE(ctx.HasError()) << ctx.StopStatus().ToString();
+      ExpectIdentical(
+          RunGammaStar(RelSet::Single(1), RelSet::Single(0), joined),
+          governed, "governed gamma*" + at);
+      EXPECT_GT(stats.spilled_sort_runs, 0);  // gamma*'s best-match spilled
+      EXPECT_EQ(ctx.tracker()->used(), 0);
+    }
   }
 }
 

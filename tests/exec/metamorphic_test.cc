@@ -69,21 +69,21 @@ TEST_P(Metamorphic, JoinCommutes) {
 TEST_P(Metamorphic, CompensationOperatorInvariants) {
   Relation joined = EvalJoin(JoinOp::kLeftOuter, pred_, left_, right_);
   // lambda preserves cardinality.
-  Relation lam = EvalLambda(pred_, RelSet::Single(1), joined);
+  Relation lam = RunLambda(pred_, RelSet::Single(1), joined);
   EXPECT_EQ(lam.NumRows(), joined.NumRows());
   // beta never grows and is idempotent.
   Relation beta = EvalBeta(lam);
   EXPECT_LE(beta.NumRows(), lam.NumRows());
   ExpectSameRelation(beta, EvalBeta(beta));
   // gamma selects a subset.
-  Relation gamma = EvalGamma(RelSet::Single(1), joined);
+  Relation gamma = RunGamma(RelSet::Single(1), joined);
   EXPECT_LE(gamma.NumRows(), joined.NumRows());
   // gamma* keeps at most the input cardinality and at least the gamma part.
-  Relation gs = EvalGammaStar(RelSet::Single(1), RelSet::Single(0), joined);
+  Relation gs = RunGammaStar(RelSet::Single(1), RelSet::Single(0), joined);
   EXPECT_LE(gs.NumRows(), joined.NumRows());
   EXPECT_GE(gs.NumRows(), gamma.NumRows());
   // Every gamma-selected tuple survives gamma* unchanged.
-  Relation gs_gamma = EvalGamma(RelSet::Single(1), gs);
+  Relation gs_gamma = RunGamma(RelSet::Single(1), gs);
   for (const Tuple& t : gamma.rows()) {
     bool found = false;
     for (const Tuple& u : gs_gamma.rows()) {
@@ -98,7 +98,7 @@ TEST_P(Metamorphic, CompensationOperatorInvariants) {
 
 TEST_P(Metamorphic, BetaOnlyRemovesDominatedOrDuplicated) {
   Relation joined = EvalJoin(JoinOp::kLeftOuter, pred_, left_, right_);
-  Relation lam = EvalLambda(pred_, RelSet::Single(1), joined);
+  Relation lam = RunLambda(pred_, RelSet::Single(1), joined);
   Relation beta = EvalBeta(lam);
   // beta's output is a sub-multiset of its input.
   std::vector<Tuple> in_rows = lam.rows(), out_rows = beta.rows();

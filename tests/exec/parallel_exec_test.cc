@@ -11,6 +11,7 @@
 #include "algebra/comp_op.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "exec/query_context.h"
 #include "testing/random_data.h"
 
 #include "../test_util.h"
@@ -90,39 +91,51 @@ Relation CompInput(uint64_t seed) {
                   right);
 }
 
+// lambda, gamma and gamma* as the executor runs them (a one-step fused
+// chain, plus EvalBeta for gamma*): 4 threads and a governed context must
+// reproduce the sequential run byte for byte.
 TEST(ParallelCompGolden, LambdaByteIdentical) {
+  PredRef pred = Predicate::Compare(Predicate::CmpOp::kLe, Col(0, "b"),
+                                    Col(1, "b"));
+  ThreadPool pool(4);
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Relation in = CompInput(seed);
-    PredRef pred = Predicate::Compare(Predicate::CmpOp::kLe, Col(0, "b"),
-                                      Col(1, "b"));
-    Relation sequential = EvalLambda(pred, RelSet::Single(1), in);
-    ThreadPool pool(4);
-    Relation parallel = EvalLambda(pred, RelSet::Single(1), in, &pool);
-    ExpectIdentical(sequential, parallel,
+    Relation sequential = RunLambda(pred, RelSet::Single(1), in);
+    ExpectIdentical(sequential, RunLambda(pred, RelSet::Single(1), in, &pool),
                     "lambda seed " + std::to_string(seed));
+    QueryContext ctx;
+    ExpectIdentical(sequential,
+                    RunLambda(pred, RelSet::Single(1), in, &pool, &ctx),
+                    "governed lambda seed " + std::to_string(seed));
   }
 }
 
 TEST(ParallelCompGolden, GammaByteIdentical) {
+  ThreadPool pool(4);
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Relation in = CompInput(seed);
-    Relation sequential = EvalGamma(RelSet::Single(1), in);
-    ThreadPool pool(4);
-    Relation parallel = EvalGamma(RelSet::Single(1), in, &pool);
-    ExpectIdentical(sequential, parallel,
+    Relation sequential = RunGamma(RelSet::Single(1), in);
+    ExpectIdentical(sequential, RunGamma(RelSet::Single(1), in, &pool),
                     "gamma seed " + std::to_string(seed));
+    QueryContext ctx;
+    ExpectIdentical(sequential, RunGamma(RelSet::Single(1), in, &pool, &ctx),
+                    "governed gamma seed " + std::to_string(seed));
   }
 }
 
 TEST(ParallelCompGolden, GammaStarByteIdentical) {
+  RelSet keep = RelSet::Single(0);
+  ThreadPool pool(4);
   for (uint64_t seed = 0; seed < 6; ++seed) {
     Relation in = CompInput(seed);
-    RelSet keep = RelSet::Single(0);
-    Relation sequential = EvalGammaStar(RelSet::Single(1), keep, in);
-    ThreadPool pool(4);
-    Relation parallel = EvalGammaStar(RelSet::Single(1), keep, in, &pool);
-    ExpectIdentical(sequential, parallel,
+    Relation sequential = RunGammaStar(RelSet::Single(1), keep, in);
+    ExpectIdentical(sequential,
+                    RunGammaStar(RelSet::Single(1), keep, in, &pool),
                     "gamma* seed " + std::to_string(seed));
+    QueryContext ctx;
+    ExpectIdentical(sequential,
+                    RunGammaStar(RelSet::Single(1), keep, in, &pool, &ctx),
+                    "governed gamma* seed " + std::to_string(seed));
   }
 }
 

@@ -68,9 +68,9 @@ TEST(MinUnionTest, GammaStarViaMinUnion) {
                                EquiJoin(0, "a", 1, "a", "p"), db.table(0),
                                db.table(1));
     RelSet a = RelSet::Single(1), keep = RelSet::Single(0);
-    Relation direct = EvalGammaStar(a, keep, joined);
+    Relation direct = RunGammaStar(a, keep, joined);
 
-    Relation selected = EvalGamma(a, joined);
+    Relation selected = RunGamma(a, joined);
     Relation rest(joined.schema());
     {
       std::vector<int> acols = joined.schema().ColumnsOf(a);
@@ -82,8 +82,8 @@ TEST(MinUnionTest, GammaStarViaMinUnion) {
         if (!all_null) rest.Add(t);
       }
     }
-    Relation modified = EvalLambda(Predicate::ConstBool(false),
-                                   joined.schema().rels().Minus(keep), rest);
+    Relation modified = RunLambda(Predicate::ConstBool(false),
+                                  joined.schema().rels().Minus(keep), rest);
     ExpectSameRelation(direct, EvalMinUnion(selected, modified),
                        "Equation 8 via minimum union");
   }

@@ -93,6 +93,10 @@ if(NOT LAST_OUT MATCHES "governor: degraded=")
   message(FATAL_ERROR
           "governed explain did not print governor counters:\n${LAST_OUT}")
 endif()
+if(NOT LAST_OUT MATCHES "rows=")
+  message(FATAL_ERROR
+          "governed explain did not print its profile:\n${LAST_OUT}")
+endif()
 
 # --- observability flags ----------------------------------------------------
 
