@@ -123,10 +123,9 @@ bool Contains(const std::vector<int>& sorted, int v) {
 // Memo layering: every entry the search stores lands in its local memo,
 // and — when the caller supplied a cross-query plan cache — is also
 // published there (write-through). Probes go to the local memo first,
-// then to the cache (read-through). The cache's visibility rule (gen < G,
-// see shared_memo.h) hides this query's own publishes, which the local
-// memo already holds, so the cache only ever contributes proven optima of
-// earlier queries.
+// then to the cache (read-through). A query's own publishes are in its
+// local memo, which is probed first, so the cache only ever contributes
+// proven optima stored by other queries.
 class Search {
  public:
   // `root` is the simplified query; with a plan cache its fingerprint
@@ -138,17 +137,12 @@ class Search {
                        ? SteadyNowMs() + opt_.budget.wall_clock_ms
                        : 0;
     if (memo_ == nullptr) return;
-    memo_->Pin();
-    gen_ = memo_->BeginQuery();
     epoch_ = memo_->epoch();
     // Entries are keyed by the whole simplified query's fingerprint:
     // cross-query reuse happens only between structurally identical
     // queries, where a subplan's full surrounding context — and therefore
     // Theorem 5.4's external-d-edge reasoning — is known to transfer.
     query_fp_ = PlanFingerprint(root);
-  }
-  ~Search() {
-    if (memo_ != nullptr) memo_->Unpin();
   }
   Search(const Search&) = delete;
   Search& operator=(const Search&) = delete;
@@ -269,20 +263,21 @@ class Search {
     return probe;
   }
 
-  const MemoPayload* FindLocal(const Probe& probe, RelSet s) {
+  std::shared_ptr<const MemoPayload> FindLocal(const Probe& probe,
+                                               RelSet s) {
     auto it = local_memo_.find(probe.map_key);
     if (it == local_memo_.end()) return nullptr;
     if (opt_.unsafe_ignore_dedges) {
       // ABLATION (Example 5.1): first entry for the relation set, external
       // dependencies ignored — the unsound shortcut under test.
       for (const auto& e : it->second) {
-        if (e->s == s) return e.get();
+        if (e->s == s) return e;
       }
       return nullptr;
     }
     for (const auto& e : it->second) {
       if (!(e->s == s)) continue;
-      if (e->ext_keys == probe.keys) return e.get();
+      if (e->ext_keys == probe.keys) return e;
       // Same 64-bit (s, signature) slot, different full key: a signature
       // collision a hash-only memo would have grafted unsoundly.
       ++memo_stats_.sig_collisions;
@@ -292,9 +287,10 @@ class Search {
 
   // Every subplan-memo probe is counted here, local or cached, so the
   // memo.* metrics read the same with or without a plan cache.
-  const MemoPayload* FindEntry(const Probe& probe, RelSet s) {
+  std::shared_ptr<const MemoPayload> FindEntry(const Probe& probe,
+                                               RelSet s) {
     ++memo_stats_.probes;
-    const MemoPayload* e = FindLocal(probe, s);
+    std::shared_ptr<const MemoPayload> e = FindLocal(probe, s);
     if (e == nullptr && memo_ != nullptr) {
       MemoProbe mp;
       mp.map_key = probe.map_key;
@@ -304,7 +300,7 @@ class Search {
       mp.epoch = epoch_;
       mp.ext_keys = &probe.keys;
       MemoProbeStats cache_stats;
-      e = memo_->Find(mp, gen_, &cache_stats);
+      e = memo_->Find(mp, &cache_stats);
       memo_stats_.sig_collisions += cache_stats.sig_collisions;
     }
     if (e != nullptr) ++memo_stats_.hits;
@@ -327,7 +323,7 @@ class Search {
     auto payload = BuildPayload(p, s, probe, cost);
     local_memo_[probe.map_key].push_back(payload);
     ++stats_.cache_entries;
-    if (memo_ != nullptr) memo_->Publish(probe.map_key, payload, gen_);
+    if (memo_ != nullptr) memo_->Publish(probe.map_key, payload);
   }
 
   std::shared_ptr<const MemoPayload> BuildPayload(APlan* p, RelSet s,
@@ -410,7 +406,6 @@ class Search {
   bool truncated_ = false;  // a trigger other than the memo cap fired
   uint64_t query_fp_ = 0;
   uint64_t epoch_ = 0;
-  uint64_t gen_ = 0;
   EnumeratorStats stats_;
   MemoProbeStats memo_stats_;
   // The local memo: everything this search stored. Collisions on the
@@ -434,7 +429,7 @@ bool Search::GenerateSubplan(APlan* p, const std::optional<NodePath>& i_path,
   Probe probe;
   if (opt_.reuse_subplans) {
     probe = MakeProbe(p, s);
-    if (const MemoPayload* entry = FindEntry(probe, s)) {
+    if (std::shared_ptr<const MemoPayload> entry = FindEntry(probe, s)) {
       ++stats_.reuses;
       Graft(p, s, *entry);
       return true;

@@ -79,8 +79,7 @@ struct EnumeratorOptions {
   // structurally-identical query under the same stats epoch reuses them
   // instead of re-enumerating. When null, the search's own local memo is
   // the only one. The caller owns the cache and must keep it alive across
-  // the call; Optimize pins it for the duration of the enumeration.
-  // Ignored under unsafe_ignore_dedges.
+  // the call. Ignored under unsafe_ignore_dedges.
   SharedMemo* shared_memo = nullptr;
   // Resource limits; default unlimited (exhaustive enumeration).
   EnumeratorBudget budget;

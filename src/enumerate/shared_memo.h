@@ -1,14 +1,15 @@
 #ifndef ECA_ENUMERATE_SHARED_MEMO_H_
 #define ECA_ENUMERATE_SHARED_MEMO_H_
 
-#include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "algebra/plan.h"
-#include "common/concurrent_table.h"
 #include "common/memory_tracker.h"
 #include "common/rel_set.h"
 
@@ -18,7 +19,7 @@ namespace eca {
 // guard), in interner-independent form: the display-name strings of the
 // participating predicates plus their FNV hashes. Strings are compared
 // exactly on probe, so a hash collision can never cause a wrong reuse —
-// it only costs a chain hop (counted as a sig collision). Keys are kept
+// it only costs a bucket hop (counted as a sig collision). Keys are kept
 // canonically sorted so two searches that discovered the same external
 // set in different orders still match.
 struct MemoExtKey {
@@ -73,14 +74,6 @@ struct MemoPayload {
   int64_t bytes = 0;              // charge estimate for the tracker
 };
 
-// Chain node: immutable after publish except for the LRU stamp.
-struct MemoNode {
-  std::atomic<MemoNode*> next{nullptr};
-  uint64_t gen = 0;  // generation (BeginQuery tick) that published it
-  std::atomic<uint64_t> last_used{0};  // generation of the last hit (LRU)
-  std::shared_ptr<const MemoPayload> payload;
-};
-
 // A probe for SharedMemo::Find. `ext_keys` must be canonically sorted.
 struct MemoProbe {
   uint64_t map_key = 0;
@@ -93,52 +86,45 @@ struct MemoProbe {
 
 enum class MemoPublishResult {
   kStoredNew,        // first entry for this full key
-  kStoredImproved,   // cheaper than the visible entry for the key
-  kSkippedDuplicate, // a visible entry is already as cheap
-  kRejectedFull,     // probe window saturated; entry dropped
-  kRejectedMemory,   // byte budget exhausted; entry dropped
+  kStoredImproved,   // strictly cheaper; replaced the entry for the key
+  kSkippedDuplicate, // the stored entry is already as cheap
+  kRejectedMemory,   // larger than the whole budget, or the tracker
+                     // refused it; entry dropped
 };
 
-// One exported cache entry: the map key it was filed under, the
-// generation that published it (for incremental append watermarks) and a
-// shared reference to the immutable payload. Snapshots serialize these;
-// Import() files them back in (see cache_store.h).
+// One exported cache entry: the map key it was filed under, the publish
+// sequence number (for incremental append watermarks; 0 for imported
+// entries) and a shared reference to the immutable payload. Snapshots
+// serialize these; Import() files them back in (see cache_store.h).
 struct MemoExportEntry {
   uint64_t map_key = 0;
-  uint64_t gen = 0;
+  uint64_t seq = 0;
   std::shared_ptr<const MemoPayload> payload;
 };
 
 // Per-enumeration probe counters, accumulated locally by each search and
-// folded into the memo.* metrics once per Optimize (per-probe global
-// atomics would put contention right back on the lock-free read path).
+// folded into the memo.* metrics once per Optimize.
 struct MemoProbeStats {
   int64_t probes = 0;
   int64_t hits = 0;
   int64_t sig_collisions = 0;
 };
 
-// Concurrent, fingerprint-keyed memo of proven-optimal subplans: the
-// service's cross-query plan cache (docs/performance.md, "Plan cache").
-// Each query's enumeration is sequential and keeps its own local memo;
-// this table lets concurrent sessions share the optima of earlier queries.
+// Fingerprint-keyed memo of proven-optimal subplans: the service's
+// cross-query plan cache (docs/performance.md, "Plan cache"). Each
+// query's enumeration is sequential and keeps its own local memo; this
+// map lets concurrent sessions share the optima of earlier queries.
 //
-// Thread model: Pin() once per enumeration, then Find/Publish are
-// lock-free; Sweep/Clear take the exclusive side of the gate and may
-// rebuild the table wholesale. BeginQuery hands out a monotonic
-// generation, and a probe of generation G sees exactly the nodes with
-// node.gen < G. A query's own publishes (gen == G) stay invisible to it:
-// its local memo already holds them, so what the search observes is its
-// own work plus entries of earlier queries. Every entry is a proven
-// optimum for its full key, so which earlier entry a probe finds can
-// change how much work is saved, never the chosen cost; the chain walk
-// resolves equal-cost ties toward the oldest visible entry.
+// One LRU map under one mutex. It holds at most one entry per full key;
+// entries whose 64-bit map keys collide share a bucket and are told apart
+// by the full key. Every entry is a proven optimum for its full key, so
+// which session's publish a probe finds can change how much work is
+// saved, never the chosen cost. A publish that would exceed the byte
+// budget evicts least-recently-used entries until it fits.
 class SharedMemo {
  public:
   struct Config {
-    size_t slot_count = 1 << 13;  // chain-table slots (rounded up)
-    // Byte budget for cached entries; 0 means unlimited. Publishes
-    // beyond the budget are rejected until the next Sweep.
+    // Byte budget for cached entries; 0 means unlimited.
     int64_t max_bytes = 0;
     // When set, entry bytes are charged to a child of this tracker (the
     // service points it at the global root).
@@ -152,36 +138,25 @@ class SharedMemo {
   SharedMemo(const SharedMemo&) = delete;
   SharedMemo& operator=(const SharedMemo&) = delete;
 
-  // Hot-path gate: hold a pin for the duration of an enumeration.
-  void Pin() { gate_.Pin(); }
-  void Unpin() { gate_.Unpin(); }
-
-  // New monotonic generation for a starting query (also the LRU clock).
-  uint64_t BeginQuery() {
-    return gen_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  // The latest generation handed out so far. The persistence layer records
-  // this as the snapshot watermark: a later incremental append exports
-  // only entries published after it.
-  uint64_t generation() const { return gen_.load(std::memory_order_relaxed); }
-
   // Stats epoch: bumped when base-relation statistics change. The epoch
-  // is part of every entry's full key, so advancing it instantly makes
-  // all older entries unreachable; Sweep() reclaims their bytes.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  // is part of every entry's full key; AdvanceEpoch drops every entry of
+  // an older epoch at once.
+  uint64_t epoch() const;
   void AdvanceEpoch();
 
-  // Cheapest visible entry matching `probe` exactly (nullptr on miss);
-  // requires a pin. Ties resolve to the oldest entry.
-  const MemoPayload* Find(const MemoProbe& probe, uint64_t gen,
-                          MemoProbeStats* stats);
+  // The entry matching `probe` exactly (nullptr on miss); a hit becomes
+  // the most recently used entry. The returned reference keeps the
+  // payload alive past any later eviction.
+  std::shared_ptr<const MemoPayload> Find(const MemoProbe& probe,
+                                          MemoProbeStats* stats);
 
-  // Publishes an entry; requires a pin. `gen` tags visibility as
-  // described above. Rejections are safe (they can only cost rework).
+  // Files an entry under `map_key`. An entry for the same full key that
+  // is already as cheap wins; a strictly cheaper one replaces it.
+  // Least-recently-used entries are evicted until the new one fits the
+  // budget; only an entry larger than the whole budget is rejected.
+  // Rejections are safe (they can only cost rework).
   MemoPublishResult Publish(uint64_t map_key,
-                            std::shared_ptr<const MemoPayload> payload,
-                            uint64_t gen);
+                            std::shared_ptr<const MemoPayload> payload);
 
   // Folds one enumeration's probe counters into the memo.* metrics.
   // Static: a search without a plan cache reports through it too.
@@ -189,56 +164,56 @@ class SharedMemo {
 
   // Persistence (docs/robustness.md, "Crash safety & persistence").
   //
-  // ExportEntries snapshots every live entry of the current epoch whose
-  // publishing generation is >= min_gen (0 exports everything, including
-  // previously imported entries, which live at generation 0). Takes the
-  // exclusive side of the gate, so it waits for in-flight enumerations;
-  // the result is deterministic for a given cache state: sorted by
-  // (map_key, chain depth oldest-first).
-  std::vector<MemoExportEntry> ExportEntries(uint64_t min_gen = 0);
+  // The sequence number of the latest publish. The persistence layer
+  // records it as its watermark: a later incremental append exports only
+  // entries published after it.
+  uint64_t sequence() const;
 
-  // Files a deserialized entry back in at generation 0, which the
-  // visibility rule (gen < G for every BeginQuery generation G >= 1)
-  // makes visible to all future queries — and which a min_gen >= 1 export
-  // never re-exports, so append logs don't accrete duplicates. Duplicate
-  // or more-expensive entries dedup exactly like live publishes. Pins
-  // internally; safe to call while the service is accepting queries.
+  // Snapshots every current-epoch entry whose publish sequence number is
+  // >= min_seq (0 exports everything, including imported entries, which
+  // carry sequence number 0). Deterministic for a given cache state:
+  // sorted by map key, then by the order the bucket's full keys were
+  // first filed.
+  std::vector<MemoExportEntry> ExportEntries(uint64_t min_seq = 0);
+
+  // Files a deserialized entry back in with sequence number 0, so a
+  // min_seq >= 1 export never re-exports it and append logs don't accrete
+  // duplicates. Duplicate or more-expensive entries dedup exactly like
+  // live publishes. Safe to call while the service is accepting queries.
   MemoPublishResult Import(uint64_t map_key,
                            std::shared_ptr<const MemoPayload> payload);
 
-  // Maintenance (exclusive; waits for / excludes pinned enumerations).
-  // Sweep drops entries from stale epochs, then evicts
-  // least-recently-used entries until under the byte budget. TrySweep
-  // skips (returning false) when an enumeration is in flight.
-  void Sweep();
-  bool TrySweep();
   // Drops everything and returns every tracked byte (service drain).
   void Clear();
 
-  int64_t used_bytes() const {
-    return used_bytes_.load(std::memory_order_relaxed);
-  }
-  int64_t entry_count() const {
-    return entry_count_.load(std::memory_order_relaxed);
-  }
+  int64_t used_bytes() const;
+  int64_t entry_count() const;
   int64_t max_bytes() const { return max_bytes_; }
 
  private:
-  void SweepLocked();
-  // Drops nodes selected by `keep` (called with every node; return false
-  // to evict) and rebuilds the chain table. Gate held exclusively.
-  template <typename Keep>
-  void RebuildLocked(Keep&& keep);
-  void ReleaseNode(MemoNode* node);
+  struct Entry {
+    uint64_t map_key;
+    uint64_t seq;
+    std::shared_ptr<const MemoPayload> payload;
+  };
+  using Lru = std::list<Entry>;  // most recently used first
 
-  ReaderGate gate_;
-  ConcurrentChainTable<MemoNode> table_;
+  // Publish and Import under the lock; imported entries get sequence 0.
+  MemoPublishResult PublishLocked(uint64_t map_key,
+                                  std::shared_ptr<const MemoPayload> payload,
+                                  bool imported);
+  void EraseLocked(Lru::iterator it);
+
   const int64_t max_bytes_;
   std::unique_ptr<MemoryTracker> tracker_;  // child of config.parent
-  std::atomic<uint64_t> gen_{0};
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<int64_t> used_bytes_{0};
-  std::atomic<int64_t> entry_count_{0};
+  mutable std::mutex mu_;
+  Lru lru_;
+  // Map key -> the bucket's entries, in the order their full keys were
+  // first filed.
+  std::unordered_map<uint64_t, std::vector<Lru::iterator>> index_;
+  uint64_t epoch_ = 0;
+  uint64_t seq_ = 0;  // last publish sequence number handed out
+  int64_t used_bytes_ = 0;
 };
 
 }  // namespace eca

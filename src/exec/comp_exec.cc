@@ -473,8 +473,31 @@ void FusedCompChain::AddGammaStarModify(RelSet attrs, RelSet keep,
   steps_.push_back(std::move(s));
 }
 
-bool FusedCompChain::Apply(Tuple* t) const {
-  for (const Step& s : steps_) {
+namespace {
+
+bool AllNull(const Tuple& t, const std::vector<int>& cols) {
+  for (int c : cols) {
+    if (!t[static_cast<size_t>(c)].is_null()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool FusedCompChain::ApplyCopy(const Tuple& in, Tuple* out) const {
+  size_t first = 0;
+  for (; first < steps_.size() &&
+         steps_[first].kind == Step::Kind::kGammaFilter;
+       ++first) {
+    if (!AllNull(in, steps_[first].check_cols)) return false;
+  }
+  *out = in;
+  return ApplyFrom(first, out);
+}
+
+bool FusedCompChain::ApplyFrom(size_t first, Tuple* t) const {
+  for (size_t i = first; i < steps_.size(); ++i) {
+    const Step& s = steps_[i];
     switch (s.kind) {
       case Step::Kind::kLambdaMask:
         if (!s.pred.EvalTrue(*t)) {
@@ -485,26 +508,16 @@ bool FusedCompChain::Apply(Tuple* t) const {
         }
         break;
       case Step::Kind::kGammaFilter:
-        for (int c : s.check_cols) {
-          if (!(*t)[static_cast<size_t>(c)].is_null()) return false;
-        }
+        if (!AllNull(*t, s.check_cols)) return false;
         break;
-      case Step::Kind::kGammaStarModify: {
-        bool all_null = true;
-        for (int c : s.check_cols) {
-          if (!(*t)[static_cast<size_t>(c)].is_null()) {
-            all_null = false;
-            break;
-          }
-        }
-        if (!all_null) {
+      case Step::Kind::kGammaStarModify:
+        if (!AllNull(*t, s.check_cols)) {
           for (size_t k = 0; k < s.null_cols.size(); ++k) {
             (*t)[static_cast<size_t>(s.null_cols[k])] =
                 Value::Null(s.null_types[k]);
           }
         }
         break;
-      }
     }
   }
   return true;
@@ -523,8 +536,10 @@ Relation ApplyFusedChain(const FusedCompChain& chain, const Relation& in,
       if (ctx != nullptr && ctx->ShouldStop()) return;
       std::vector<Tuple>& buf = morsel_out[static_cast<size_t>(morsel)];
       for (int64_t i = begin; i < end; ++i) {
-        Tuple u = in.rows()[static_cast<size_t>(i)];
-        if (chain.Apply(&u)) buf.push_back(std::move(u));
+        Tuple u;
+        if (chain.ApplyCopy(in.rows()[static_cast<size_t>(i)], &u)) {
+          buf.push_back(std::move(u));
+        }
       }
     }
   };

@@ -45,7 +45,12 @@ class FusedCompChain {
 
   // Applies the chain to `t` in place; false when a gamma filter drops
   // the row. Thread-safe (const; all per-row state lives in `t`).
-  bool Apply(Tuple* t) const;
+  bool Apply(Tuple* t) const { return ApplyFrom(0, t); }
+
+  // Applies the chain to a copy of `in` in *out; false when a gamma filter
+  // drops the row. The chain's leading gamma filters test `in` itself, so
+  // a row they drop is never copied.
+  bool ApplyCopy(const Tuple& in, Tuple* out) const;
 
  private:
   struct Step {
@@ -56,6 +61,9 @@ class FusedCompChain {
     std::vector<DataType> null_types;
     std::vector<int> check_cols;     // all-NULL test columns (gamma/gamma*)
   };
+  // Applies steps [first, end) to `t` in place.
+  bool ApplyFrom(size_t first, Tuple* t) const;
+
   std::vector<Step> steps_;
 };
 

@@ -129,14 +129,17 @@ JoinShape MakeShape(JoinOp op, const Relation& left, const Relation& right) {
   return shape;
 }
 
+// Matched flags are kept only for a side the padding / side-emission
+// phase reads: the padded side(s) of an outer join, the output side of a
+// semi/anti join.
 bool NeedsLeftFlags(JoinOp op) {
   return op == JoinOp::kLeftOuter || op == JoinOp::kFullOuter ||
-         OutputsOneSide(op);
+         op == JoinOp::kLeftSemi || op == JoinOp::kLeftAnti;
 }
 
 bool NeedsRightFlags(JoinOp op) {
   return op == JoinOp::kRightOuter || op == JoinOp::kFullOuter ||
-         OutputsOneSide(op);
+         op == JoinOp::kRightSemi || op == JoinOp::kRightAnti;
 }
 
 // The padding / side-emission phase every join algorithm ends with:
@@ -665,6 +668,7 @@ class GraceHashJoin {
       (void)valid;
       auto it = table.find(HashTuple(kv));
       if (it == table.end()) continue;
+      bool first_equal = true;
       for (size_t bi : it->second) {
         if (stats_ != nullptr) ++stats_->probe_comparisons;
         const std::vector<Value>& bk = build_kvs[bi];
@@ -673,6 +677,17 @@ class GraceHashJoin {
           if (!kv[i].SameAs(bk[i])) key_equal = false;
         }
         if (!key_equal) continue;
+        // Semi/anti keeping the build side, as in the in-memory probe: a
+        // flagged first key-equal row means its whole key is flagged.
+        const bool was_first = first_equal;
+        first_equal = false;
+        uint8_t* build_flag =
+            need_build ? &build_flags[static_cast<size_t>(build_rows[bi].tag)]
+                       : nullptr;
+        if (!emit_pairs && build_flag != nullptr && *build_flag != 0) {
+          if (residual_ == nullptr && was_first) break;
+          continue;
+        }
         const Tuple& brow = build_rows[bi].row;
         const Tuple& lrow = build_left_ ? brow : prow;
         const Tuple& rrow = build_left_ ? prow : brow;
@@ -681,9 +696,10 @@ class GraceHashJoin {
           continue;
         }
         if (need_probe) probe_flags[static_cast<size_t>(ptag)] = 1;
-        if (need_build) {
-          build_flags[static_cast<size_t>(build_rows[bi].tag)] = 1;
-        }
+        if (build_flag != nullptr) *build_flag = 1;
+        // Semi/anti keeping the probe side: the first qualifying match
+        // decides the row.
+        if (!emit_pairs && need_probe) break;
         if (emit_pairs) {
           Tuple t = ConcatTuples(lrow, rrow);
           // The fused chain applies per emitted row here exactly as in the
@@ -871,41 +887,65 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
         for (int64_t i = 0; i < cn; ++i) {
           if (!pk.ValidAt(i)) continue;
           const uint64_t h = pk.hashes[static_cast<size_t>(i)];
+          const int64_t pi = cb + i;
+          const Tuple& prow = probe.rows()[static_cast<size_t>(pi)];
+          auto qualifies = [&](int64_t bi) {
+            if (!have_residual) return true;
+            const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
+            return compiled_residual.EvalTrue(build_left
+                                                  ? ConcatTuples(brow, prow)
+                                                  : ConcatTuples(prow, brow));
+          };
           uint64_t idx = h & table.mask;
           matches.clear();
+          bool first_equal = true;
           for (;;) {
             int64_t br = table.slots[idx].load(std::memory_order_acquire);
             if (br < 0) break;
-            if (table.keys.hashes[static_cast<size_t>(br)] == h) {
-              ++comparisons;
-              if (table.keys.RowEqual(br, pk, i)) matches.push_back(br);
-            }
             idx = (idx + 1) & table.mask;
+            if (table.keys.hashes[static_cast<size_t>(br)] != h) continue;
+            ++comparisons;
+            if (!table.keys.RowEqual(br, pk, i)) continue;
+            if (emit_pairs) {
+              matches.push_back(br);
+            } else if (need_probe) {
+              // Semi/anti keeping the probe side: the first qualifying
+              // match decides the row.
+              if (qualifies(br)) {
+                probe_matched[static_cast<size_t>(pi)] = 1;
+                break;
+              }
+            } else {
+              // Semi/anti keeping the build side. Without a residual every
+              // key-equal build row is flagged by the first probe row of
+              // its key, which flags the chain's first key-equal row first.
+              std::atomic<uint8_t>& flag =
+                  build_matched[static_cast<size_t>(br)];
+              if (flag.load(std::memory_order_relaxed) != 0) {
+                if (!have_residual && first_equal) break;
+              } else if (qualifies(br)) {
+                flag.store(1, std::memory_order_relaxed);
+              }
+              first_equal = false;
+            }
           }
+          if (!emit_pairs) continue;
           // CAS insertion order is nondeterministic; ascending build-row
           // order per probe row restores the row engine's emit order.
           if (matches.size() > 1) std::sort(matches.begin(), matches.end());
-          const int64_t pi = cb + i;
-          const Tuple& prow = probe.rows()[static_cast<size_t>(pi)];
           for (int64_t bi : matches) {
-            const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
-            const Tuple& lrow = build_left ? brow : prow;
-            const Tuple& rrow = build_left ? prow : brow;
-            if (have_residual &&
-                !compiled_residual.EvalTrue(ConcatTuples(lrow, rrow))) {
-              continue;
-            }
+            if (!qualifies(bi)) continue;
             if (need_probe) probe_matched[static_cast<size_t>(pi)] = 1;
             if (need_build) {
               build_matched[static_cast<size_t>(bi)].store(
                   1, std::memory_order_relaxed);
             }
-            if (emit_pairs) {
-              Tuple t = ConcatTuples(lrow, rrow);
-              if (fused == nullptr || fused->Apply(&t)) {
-                if (ctx != nullptr) pending += ApproxTupleBytes(t);
-                out->push_back(std::move(t));
-              }
+            const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
+            Tuple t = build_left ? ConcatTuples(brow, prow)
+                                 : ConcatTuples(prow, brow);
+            if (fused == nullptr || fused->Apply(&t)) {
+              if (ctx != nullptr) pending += ApproxTupleBytes(t);
+              out->push_back(std::move(t));
             }
           }
         }

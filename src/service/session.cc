@@ -41,7 +41,12 @@ void CancelRegistry::Register(CancelToken* token) {
     tokens_.insert(token);
     cancel_now = cancel_all_;
   }
-  if (cancel_now) token->Cancel();
+  if (cancel_now) {
+    // Late arrival of a drain (admitted before CancelAll, registered
+    // after): count it like the tokens CancelAll fired itself.
+    token->Cancel();
+    Counters().drained->Increment();
+  }
 }
 
 void CancelRegistry::Unregister(CancelToken* token) {
@@ -80,14 +85,6 @@ ServiceState::ServiceState(const Database* db, ServiceOptions options)
   }
   if (options_.plan_cache_bytes > 0) {
     SharedMemo::Config config;
-    // Size the slot arrays from the byte budget assuming ~1KB per cached
-    // entry, clamped to [2^13, 2^20] slots.
-    size_t slots = size_t{1} << 13;
-    while (slots < size_t{1} << 20 &&
-           static_cast<int64_t>(slots) * 1024 < options_.plan_cache_bytes) {
-      slots <<= 1;
-    }
-    config.slot_count = slots;
     config.max_bytes = options_.plan_cache_bytes;
     config.parent = &root_;
     plan_cache_ = std::make_unique<SharedMemo>(config);
@@ -259,14 +256,6 @@ WireMessage ServiceState::HandleQuery(const WireMessage& request) {
     response.AddInt("peak_bytes", exec_stats.peak_bytes);
   }
   admission_.Release(*admitted);
-  // Opportunistic cache maintenance outside the query scope: when the
-  // publish path hit the byte budget, drop stale-epoch and LRU entries.
-  // TrySweep is a no-op while another query holds a pin — the next idle
-  // moment gets it.
-  if (plan_cache_ != nullptr &&
-      plan_cache_->used_bytes() >= plan_cache_->max_bytes()) {
-    plan_cache_->TrySweep();
-  }
   return response;
 }
 

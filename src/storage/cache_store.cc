@@ -552,8 +552,8 @@ CacheStore::LoadResult CacheStore::Load(SharedMemo* memo,
     result.detail += why;
   };
 
-  // One pass per file: snapshot first (oldest entries, winning probe
-  // ties), then the log.
+  // One pass per file: snapshot first, then the log (whose entries the
+  // snapshot already holds dedup on import).
   struct FileSpec {
     std::string path;
     bool is_log;
@@ -667,8 +667,8 @@ CacheStore::LoadResult CacheStore::Load(SharedMemo* memo,
   }
   if (result.degraded) c.load_degraded->Increment();
   // Appends must not replay what the snapshot/log already holds: the
-  // watermark starts at the generation horizon of this process.
-  watermark_gen_ = memo->generation();
+  // watermark starts at the memo's latest publish.
+  watermark_seq_ = memo->sequence();
   return result;
 #endif
 }
@@ -739,10 +739,10 @@ Status CacheStore::WriteSnapshot(SharedMemo* memo, uint64_t catalog_fp) {
   (void)catalog_fp;
   return Status::OK();
 #else
-  std::vector<MemoExportEntry> entries = memo->ExportEntries(/*min_gen=*/0);
-  uint64_t top_gen = 0;
+  std::vector<MemoExportEntry> entries = memo->ExportEntries(/*min_seq=*/0);
+  uint64_t top_seq = 0;
   for (const MemoExportEntry& e : entries) {
-    if (e.gen > top_gen) top_gen = e.gen;
+    if (e.seq > top_seq) top_seq = e.seq;
   }
   // Temp name carries the pid: concurrent daemons sharing a cache path
   // (misconfiguration) tear each other's temp files, never the snapshot.
@@ -776,7 +776,7 @@ Status CacheStore::WriteSnapshot(SharedMemo* memo, uint64_t catalog_fp) {
   // is safe: reloading them from the stale log only produces duplicate
   // imports, which dedup.
   fs::remove(log_path(), ec);
-  watermark_gen_ = std::max(watermark_gen_, top_gen);
+  watermark_seq_ = std::max(watermark_seq_, top_seq);
   Counters().snapshots->Increment();
   Counters().snapshot_entries->Add(static_cast<int64_t>(entries.size()));
   return Status::OK();
@@ -790,15 +790,15 @@ Status CacheStore::AppendNew(SharedMemo* memo, uint64_t catalog_fp) {
   return Status::OK();
 #else
   std::vector<MemoExportEntry> entries =
-      memo->ExportEntries(/*min_gen=*/watermark_gen_ + 1);
+      memo->ExportEntries(/*min_seq=*/watermark_seq_ + 1);
   if (entries.empty()) return Status::OK();
-  uint64_t top_gen = watermark_gen_;
+  uint64_t top_seq = watermark_seq_;
   for (const MemoExportEntry& e : entries) {
-    if (e.gen > top_gen) top_gen = e.gen;
+    if (e.seq > top_seq) top_seq = e.seq;
   }
   ECA_RETURN_IF_ERROR(WriteLocked(log_path(), entries, memo->epoch(),
                                   catalog_fp, /*append=*/true));
-  watermark_gen_ = top_gen;
+  watermark_seq_ = top_seq;
   Counters().appends->Increment();
   Counters().append_entries->Add(static_cast<int64_t>(entries.size()));
   return Status::OK();

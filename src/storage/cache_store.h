@@ -67,7 +67,7 @@ class CacheStore {
   std::string log_path() const { return path_ + ".log"; }
 
   // Reads snapshot + log and imports every acceptable entry into `memo`
-  // (at generation 0, visible to all future queries). Entries are
+  // (with sequence number 0, so appends never re-export them). Entries are
   // validated against memo->epoch() and `catalog_fp`. Never fails: every
   // degradation is reported in the result, not thrown at the caller.
   LoadResult Load(SharedMemo* memo, uint64_t catalog_fp);
@@ -88,10 +88,11 @@ class CacheStore {
                      uint64_t epoch, uint64_t catalog_fp, bool append);
 
   std::string path_;
-  // Highest generation already persisted; AppendNew exports (gen >
-  // watermark). Entries imported from disk live at generation 0 and are
-  // never re-exported by an append (only by the next full snapshot).
-  uint64_t watermark_gen_ = 0;
+  // Highest publish sequence number already persisted; AppendNew exports
+  // (seq > watermark). Entries imported from disk carry sequence number 0
+  // and are never re-exported by an append (only by the next full
+  // snapshot).
+  uint64_t watermark_seq_ = 0;
 };
 
 // Serializes one payload into `out` (appended); the exact byte string the

@@ -1,16 +1,15 @@
 // SharedMemo unit and concurrency tests (enumerate/shared_memo.h): the
 // published-entry lifecycle the cross-query plan cache depends on —
-// full-key verification under forced map-key collisions, the
-// generation visibility rule, epoch invalidation, LRU
-// eviction, and MemoryTracker balance. The multi-thread stresses run
-// under the TSan CI lane; every one has a deterministic final state
-// (the cheapest published cost wins a probe regardless of publish
-// interleaving).
+// full-key verification under forced map-key collisions, one entry per
+// full key, epoch invalidation, LRU eviction on publish, and
+// MemoryTracker balance. The multi-thread stresses run under the TSan CI
+// lane; every one has a deterministic final state (the cheapest published
+// cost wins a probe regardless of publish interleaving, and the byte
+// budget holds after every publish).
 
 #include "enumerate/shared_memo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +17,7 @@
 #include <vector>
 
 #include "common/memory_tracker.h"
+#include "common/metrics.h"
 #include "gtest/gtest.h"
 #include "rewrite/rules.h"
 
@@ -51,6 +51,14 @@ std::shared_ptr<const MemoPayload> MakePayload(
   return payload;
 }
 
+// SplitMix64 finalizer: seeds the stress tests' keys and costs.
+uint64_t Mix(uint64_t h) {
+  h += 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
 MemoProbe ProbeFor(const MemoPayload& payload, uint64_t map_key) {
   MemoProbe probe;
   probe.map_key = map_key;
@@ -64,62 +72,41 @@ MemoProbe ProbeFor(const MemoPayload& payload, uint64_t map_key) {
 
 TEST(SharedMemoTest, PublishFindRoundTrip) {
   SharedMemo memo;
-  memo.Pin();
   auto payload = MakePayload(RelSet::Single(1), 10.0);
-  EXPECT_EQ(memo.Publish(7, payload, /*gen=*/1),
-            MemoPublishResult::kStoredNew);
+  EXPECT_EQ(memo.Publish(7, payload), MemoPublishResult::kStoredNew);
   MemoProbeStats stats;
-  // Visible to a later generation...
-  const MemoPayload* hit = memo.Find(ProbeFor(*payload, 7), /*gen=*/2, &stats);
+  std::shared_ptr<const MemoPayload> hit =
+      memo.Find(ProbeFor(*payload, 7), &stats);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, 10.0);
   EXPECT_EQ(stats.probes, 1);
   EXPECT_EQ(stats.hits, 1);
-  // ...and a different map key misses.
-  EXPECT_EQ(memo.Find(ProbeFor(*payload, 8), /*gen=*/2, &stats), nullptr);
-  memo.Unpin();
-}
-
-TEST(SharedMemoTest, VisibilityRuleEarlierGenerationsOnly) {
-  SharedMemo memo;
-  memo.Pin();
-  auto earlier = MakePayload(RelSet::Single(1), 10.0);
-  auto same = MakePayload(RelSet::Single(2), 20.0);
-  memo.Publish(1, earlier, /*gen=*/1);
-  memo.Publish(2, same, /*gen=*/2);
-  MemoProbeStats stats;
-  // A probe of generation 2 sees what generation 1 published...
-  EXPECT_NE(memo.Find(ProbeFor(*earlier, 1), /*gen=*/2, &stats), nullptr);
-  // ...but not its own generation's entries: a query's own publishes live
-  // in its local memo, so the cache never hands them back to it.
-  EXPECT_EQ(memo.Find(ProbeFor(*same, 2), /*gen=*/2, &stats), nullptr);
-  // The next query's generation sees both.
-  EXPECT_NE(memo.Find(ProbeFor(*earlier, 1), /*gen=*/3, &stats), nullptr);
-  EXPECT_NE(memo.Find(ProbeFor(*same, 2), /*gen=*/3, &stats), nullptr);
-  memo.Unpin();
+  // A different map key misses.
+  EXPECT_EQ(memo.Find(ProbeFor(*payload, 8), &stats), nullptr);
+  // The returned reference outlives the entry itself.
+  memo.Clear();
+  EXPECT_EQ(hit->cost, 10.0);
 }
 
 TEST(SharedMemoTest, CheapestWinsAndDuplicatesSkip) {
   SharedMemo memo;
-  memo.Pin();
   auto expensive = MakePayload(RelSet::Single(1), 10.0);
   auto cheaper = MakePayload(RelSet::Single(1), 5.0);
-  EXPECT_EQ(memo.Publish(7, expensive, 1),
-            MemoPublishResult::kStoredNew);
-  // Publishing something no cheaper than the newest same-key entry is a
-  // no-op...
-  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 12.0), 1),
+  EXPECT_EQ(memo.Publish(7, expensive), MemoPublishResult::kStoredNew);
+  // Publishing something no cheaper than the stored entry is a no-op...
+  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 12.0)),
             MemoPublishResult::kSkippedDuplicate);
-  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 10.0), 1),
+  EXPECT_EQ(memo.Publish(7, MakePayload(RelSet::Single(1), 10.0)),
             MemoPublishResult::kSkippedDuplicate);
-  // ...while a strictly cheaper one supersedes it.
-  EXPECT_EQ(memo.Publish(7, cheaper, 1),
-            MemoPublishResult::kStoredImproved);
+  // ...while a strictly cheaper one replaces it: one entry per full key.
+  EXPECT_EQ(memo.Publish(7, cheaper), MemoPublishResult::kStoredImproved);
+  EXPECT_EQ(memo.entry_count(), 1);
+  EXPECT_EQ(memo.used_bytes(), cheaper->bytes);
   MemoProbeStats stats;
-  const MemoPayload* hit = memo.Find(ProbeFor(*cheaper, 7), 2, &stats);
+  std::shared_ptr<const MemoPayload> hit =
+      memo.Find(ProbeFor(*cheaper, 7), &stats);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, 5.0);
-  memo.Unpin();
 }
 
 // Forced map-key collision: two entries share the 64-bit map key but
@@ -129,114 +116,149 @@ TEST(SharedMemoTest, CheapestWinsAndDuplicatesSkip) {
 // candidate is counted as a sig collision.
 TEST(SharedMemoTest, FullKeyVerificationUnderForcedCollision) {
   SharedMemo memo;
-  memo.Pin();
   auto with_a = MakePayload(RelSet::Single(1), 10.0, /*epoch=*/0,
                             /*bytes=*/64, {ExtKey("p0", "x", "y")});
   auto with_b = MakePayload(RelSet::Single(1), 5.0, /*epoch=*/0,
                             /*bytes=*/64, {ExtKey("p1", "x", "z")});
   constexpr uint64_t kSharedMapKey = 42;
-  EXPECT_EQ(memo.Publish(kSharedMapKey, with_a, 1),
+  EXPECT_EQ(memo.Publish(kSharedMapKey, with_a),
             MemoPublishResult::kStoredNew);
-  EXPECT_EQ(memo.Publish(kSharedMapKey, with_b, 1),
+  EXPECT_EQ(memo.Publish(kSharedMapKey, with_b),
             MemoPublishResult::kStoredNew);
 
   MemoProbeStats stats;
-  const MemoPayload* hit =
-      memo.Find(ProbeFor(*with_a, kSharedMapKey), 2, &stats);
+  std::shared_ptr<const MemoPayload> hit =
+      memo.Find(ProbeFor(*with_b, kSharedMapKey), &stats);
   ASSERT_NE(hit, nullptr);
-  // The cheaper colliding entry must NOT shadow the exact-key match.
-  EXPECT_EQ(hit->cost, 10.0);
-  EXPECT_EQ(hit->ext_keys, with_a->ext_keys);
+  // The cheaper colliding entry is the exact match here...
+  EXPECT_EQ(hit->cost, 5.0);
   EXPECT_EQ(stats.sig_collisions, 1);
 
-  hit = memo.Find(ProbeFor(*with_b, kSharedMapKey), 2, &stats);
+  // ...and must NOT shadow the exact-key match of the other probe.
+  hit = memo.Find(ProbeFor(*with_a, kSharedMapKey), &stats);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cost, 5.0);
-  memo.Unpin();
+  EXPECT_EQ(hit->cost, 10.0);
+  EXPECT_EQ(hit->ext_keys, with_a->ext_keys);
 }
 
-TEST(SharedMemoTest, EpochAdvanceInvalidatesAndSweepReclaims) {
+TEST(SharedMemoTest, EpochAdvanceDropsStaleEntriesAtOnce) {
   MemoryTracker root(0, 0);
   SharedMemo::Config config;
   config.parent = &root;
   SharedMemo memo(config);
-  memo.Pin();
   auto payload = MakePayload(RelSet::Single(1), 10.0, memo.epoch(),
                              /*bytes=*/128);
-  ASSERT_EQ(memo.Publish(7, payload, 1),
-            MemoPublishResult::kStoredNew);
+  ASSERT_EQ(memo.Publish(7, payload), MemoPublishResult::kStoredNew);
   EXPECT_EQ(memo.used_bytes(), 128);
   EXPECT_EQ(root.used(), 128);
 
   memo.AdvanceEpoch();
-  // The entry's full key pins the old epoch, so a current-epoch probe
-  // can never reuse a stale-stats plan.
-  MemoProbe probe = ProbeFor(*payload, 7);
-  probe.epoch = memo.epoch();
-  MemoProbeStats stats;
-  EXPECT_EQ(memo.Find(probe, 2, &stats), nullptr);
-  memo.Unpin();
-
-  // Sweep reclaims the unreachable entry and rebalances the tracker.
-  memo.Sweep();
+  // The stale entry is gone and its bytes are back with the tracker...
   EXPECT_EQ(memo.used_bytes(), 0);
   EXPECT_EQ(memo.entry_count(), 0);
   EXPECT_EQ(root.used(), 0);
+  // ...and a current-epoch probe can never reuse a stale-stats plan.
+  MemoProbe probe = ProbeFor(*payload, 7);
+  probe.epoch = memo.epoch();
+  MemoProbeStats stats;
+  EXPECT_EQ(memo.Find(probe, &stats), nullptr);
 }
 
-TEST(SharedMemoTest, ByteBudgetRejectsAndClearRebalances) {
+TEST(SharedMemoTest, OversizedEntryRejectedAndClearRebalances) {
   MemoryTracker root(0, 0);
   SharedMemo::Config config;
   config.max_bytes = 150;
   config.parent = &root;
   SharedMemo memo(config);
-  memo.Pin();
-  EXPECT_EQ(memo.Publish(1, MakePayload(RelSet::Single(1), 1.0, 0, 100), 1),
+  EXPECT_EQ(memo.Publish(1, MakePayload(RelSet::Single(1), 1.0, 0, 100)),
             MemoPublishResult::kStoredNew);
-  // 100 + 100 > 150: over-budget publishes are rejected, never partial.
-  EXPECT_EQ(memo.Publish(2, MakePayload(RelSet::Single(2), 2.0, 0, 100), 1),
+  // Only an entry larger than the whole budget is rejected; the cache is
+  // left as it was.
+  EXPECT_EQ(memo.Publish(2, MakePayload(RelSet::Single(2), 2.0, 0, 151)),
             MemoPublishResult::kRejectedMemory);
   EXPECT_EQ(memo.used_bytes(), 100);
   EXPECT_EQ(root.used(), 100);
-  memo.Unpin();
   memo.Clear();
   EXPECT_EQ(memo.used_bytes(), 0);
   EXPECT_EQ(root.used(), 0);
 }
 
-// TrySweep must refuse (not deadlock, not corrupt) while an enumeration
-// holds a pin, and run once the pin is dropped.
-TEST(SharedMemoTest, TrySweepRespectsPins) {
-  SharedMemo memo;
-  memo.Pin();
-  EXPECT_FALSE(memo.TrySweep());
-  memo.Unpin();
-  EXPECT_TRUE(memo.TrySweep());
+// A full cache keeps learning: each publish past the budget evicts the
+// least-recently-used entries until the new one fits, and a probe hit
+// refreshes an entry's recency.
+TEST(SharedMemoTest, FullCacheEvictsLruOnPublish) {
+  constexpr int64_t kEntryBytes = 100;
+  MemoryTracker root(0, 0);
+  SharedMemo::Config config;
+  config.max_bytes = 3 * kEntryBytes;
+  config.parent = &root;
+  SharedMemo memo(config);
+  Counter* evictions = MetricsRegistry::Global().counter("memo.lru_evictions");
+  const int64_t evictions_before = evictions->value();
+
+  std::vector<std::shared_ptr<const MemoPayload>> payloads;
+  for (int i = 0; i < 5; ++i) {
+    payloads.push_back(
+        MakePayload(RelSet::Single(i), 1.0 + i, 0, kEntryBytes));
+  }
+  auto key = [](int i) { return static_cast<uint64_t>(i + 1); };
+  auto hit = [&](int i) {
+    MemoProbeStats stats;
+    return memo.Find(ProbeFor(*payloads[static_cast<size_t>(i)], key(i)),
+                     &stats) != nullptr;
+  };
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(memo.Publish(key(i), payloads[static_cast<size_t>(i)]),
+              MemoPublishResult::kStoredNew);
+  }
+  // Probe entry 0: entry 1 becomes the least recently used, then entry 2.
+  ASSERT_TRUE(hit(0));
+  for (int i = 3; i < 5; ++i) {
+    EXPECT_EQ(memo.Publish(key(i), payloads[static_cast<size_t>(i)]),
+              MemoPublishResult::kStoredNew)
+        << "entry " << i;
+    EXPECT_LE(memo.used_bytes(), memo.max_bytes());
+    EXPECT_EQ(root.used(), memo.used_bytes());
+  }
+  EXPECT_TRUE(hit(3));
+  EXPECT_TRUE(hit(4));
+  EXPECT_TRUE(hit(0)) << "the probed entry was evicted";
+  EXPECT_FALSE(hit(1)) << "the least-recently-probed entry survived";
+  EXPECT_FALSE(hit(2));
+  EXPECT_EQ(memo.entry_count(), 3);
+  EXPECT_EQ(memo.used_bytes(), 3 * kEntryBytes);
+  EXPECT_EQ(evictions->value() - evictions_before, 2);
+
+  memo.Clear();
+  EXPECT_EQ(memo.used_bytes(), 0);
+  EXPECT_EQ(root.used(), 0);
 }
 
 // Multi-thread publish/lookup stress with a deterministic winner: 4
 // threads race seeded (key, cost) publishes; whatever the interleaving,
-// a probe after the barrier must return the cheapest cost published for
-// its key — Publish's dedup/improve walk and Find's `<=` newest-to-
-// oldest scan both converge on the minimum.
+// a probe after the join must return the cheapest cost published for its
+// key, and the cache must hold exactly one entry per key.
 TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
   constexpr int kThreads = 4;
   constexpr int kKeys = 64;
   constexpr int kRounds = 200;
   SharedMemo memo;
 
+  auto key_of = [](int thread, int round) {
+    return static_cast<int>(
+        Mix(static_cast<uint64_t>(thread * kRounds + round)) % kKeys);
+  };
   auto cost_of = [](int thread, int round, int key) {
-    uint64_t h = Mix64((static_cast<uint64_t>(thread) << 40) ^
-                       (static_cast<uint64_t>(round) << 16) ^
-                       static_cast<uint64_t>(key));
+    uint64_t h = Mix((static_cast<uint64_t>(thread) << 40) ^
+                     (static_cast<uint64_t>(round) << 16) ^
+                     static_cast<uint64_t>(key));
     return static_cast<double>(1 + h % 1000);
   };
   // The deterministic expectation: the global minimum per key.
   std::vector<double> expected(kKeys, 1e18);
   for (int t = 0; t < kThreads; ++t) {
     for (int r = 0; r < kRounds; ++r) {
-      int key = static_cast<int>(Mix64(static_cast<uint64_t>(t * kRounds + r)) %
-                                 kKeys);
+      int key = key_of(t, r);
       expected[static_cast<size_t>(key)] = std::min(
           expected[static_cast<size_t>(key)], cost_of(t, r, key));
     }
@@ -245,144 +267,106 @@ TEST(SharedMemoTest, ConcurrentPublishLookupDeterministicWinner) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      memo.Pin();
       MemoProbeStats stats;
       for (int r = 0; r < kRounds; ++r) {
-        int key = static_cast<int>(
-            Mix64(static_cast<uint64_t>(t * kRounds + r)) % kKeys);
+        int key = key_of(t, r);
         auto payload =
             MakePayload(RelSet::Single(key), cost_of(t, r, key));
-        memo.Publish(static_cast<uint64_t>(key + 1), payload, /*gen=*/1);
-        // Interleaved lookups: any hit is a fully-published entry for
-        // this exact key, at most as expensive as what we just offered.
-        const MemoPayload* hit =
-            memo.Find(ProbeFor(*payload, static_cast<uint64_t>(key + 1)),
-                      /*gen=*/2, &stats);
-        if (hit != nullptr) {
-          EXPECT_TRUE(hit->s == RelSet::Single(key));
-          EXPECT_GE(hit->cost, expected[static_cast<size_t>(key)]);
-        }
+        memo.Publish(static_cast<uint64_t>(key + 1), payload);
+        // Interleaved lookups: the entry for this exact key is at most as
+        // expensive as what we just offered, never below the minimum.
+        std::shared_ptr<const MemoPayload> hit = memo.Find(
+            ProbeFor(*payload, static_cast<uint64_t>(key + 1)), &stats);
+        ASSERT_NE(hit, nullptr);
+        EXPECT_TRUE(hit->s == RelSet::Single(key));
+        EXPECT_LE(hit->cost, payload->cost);
+        EXPECT_GE(hit->cost, expected[static_cast<size_t>(key)]);
       }
-      memo.Unpin();
     });
   }
   for (std::thread& w : workers) w.join();
 
-  memo.Pin();
   MemoProbeStats stats;
+  int64_t keys_seen = 0;
   for (int key = 0; key < kKeys; ++key) {
     if (expected[static_cast<size_t>(key)] >= 1e18) continue;
+    ++keys_seen;
     auto probe_payload = MakePayload(RelSet::Single(key), 0.0);
-    const MemoPayload* hit = memo.Find(
-        ProbeFor(*probe_payload, static_cast<uint64_t>(key + 1)), 2, &stats);
+    std::shared_ptr<const MemoPayload> hit = memo.Find(
+        ProbeFor(*probe_payload, static_cast<uint64_t>(key + 1)), &stats);
     ASSERT_NE(hit, nullptr) << "key " << key;
     EXPECT_EQ(hit->cost, expected[static_cast<size_t>(key)]) << "key " << key;
   }
-  memo.Unpin();
+  EXPECT_EQ(memo.entry_count(), keys_seen);
 }
 
-// Racing publishers can overshoot the byte budget (each passes the
-// pre-check before any addition lands); the sweep's LRU pass must bring
-// usage back under budget and keep the most recently probed entries.
-TEST(SharedMemoTest, LruSweepAfterConcurrentOvershoot) {
+// Racing publishers never overshoot the byte budget: publish and evict
+// happen under one lock, so the budget is exact after every publish, and
+// the tracker moves with it.
+TEST(SharedMemoTest, ConcurrentPublishesKeepTheBudgetExact) {
   constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
   MemoryTracker root(0, 0);
   SharedMemo::Config config;
   config.max_bytes = 100;
   config.parent = &root;
   SharedMemo memo(config);
 
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      memo.Pin();
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
+      for (int r = 0; r < kRounds; ++r) {
+        int key = t * kRounds + r;
+        EXPECT_EQ(memo.Publish(static_cast<uint64_t>(key + 1),
+                               MakePayload(RelSet::Single(key % 64),
+                                           1.0 + key, 0, 60)),
+                  MemoPublishResult::kStoredNew);
+        EXPECT_LE(memo.used_bytes(), memo.max_bytes());
       }
-      memo.Publish(static_cast<uint64_t>(t + 1),
-                   MakePayload(RelSet::Single(t), 1.0 + t, 0, 60),
-                   /*gen=*/1);
-      memo.Unpin();
     });
   }
-  while (ready.load() < kThreads) {
-  }
-  go.store(true, std::memory_order_release);
   for (std::thread& w : workers) w.join();
 
-  // Touch the stored entries in index order with rising generations, so
-  // the LRU order afterwards is exactly key 0 oldest .. key 3 newest.
-  memo.Pin();
-  MemoProbeStats stats;
-  std::vector<int> stored;
-  for (int t = 0; t < kThreads; ++t) {
-    auto probe_payload = MakePayload(RelSet::Single(t), 0.0);
-    if (memo.Find(ProbeFor(*probe_payload, static_cast<uint64_t>(t + 1)),
-                  /*gen=*/static_cast<uint64_t>(10 + t), &stats) != nullptr) {
-      stored.push_back(t);
-    }
-  }
-  memo.Unpin();
-  ASSERT_FALSE(stored.empty());
-  EXPECT_EQ(memo.used_bytes(), static_cast<int64_t>(stored.size()) * 60);
-
-  memo.Sweep();
-  // Budget restored, tracker balanced with it...
-  EXPECT_LE(memo.used_bytes(), memo.max_bytes());
-  EXPECT_EQ(root.used(), memo.used_bytes());
-  // ...and the survivor is the most recently used entry (only one 60-byte
-  // entry fits a 100-byte budget once eviction runs; without overshoot
-  // the single stored entry was already under budget).
-  memo.Pin();
-  int survivors = 0;
-  for (int t = 0; t < kThreads; ++t) {
-    auto probe_payload = MakePayload(RelSet::Single(t), 0.0);
-    if (memo.Find(ProbeFor(*probe_payload, static_cast<uint64_t>(t + 1)),
-                  /*gen=*/20, &stats) != nullptr) {
-      ++survivors;
-      EXPECT_EQ(t, stored.back()) << "LRU evicted the wrong entry";
-    }
-  }
-  memo.Unpin();
-  EXPECT_EQ(survivors, 1);
+  // Only one 60-byte entry fits a 100-byte budget.
   EXPECT_EQ(memo.entry_count(), 1);
+  EXPECT_EQ(memo.used_bytes(), 60);
+  EXPECT_EQ(root.used(), 60);
+  memo.Clear();
+  EXPECT_EQ(root.used(), 0);
 }
 
 // --- Persistence hooks: ExportEntries / Import (cache_store.h) ---------
 
-TEST(SharedMemoExportTest, ExportRespectsMinGenAndEpoch) {
+TEST(SharedMemoExportTest, ExportRespectsMinSeqAndEpoch) {
   SharedMemo memo;
-  memo.Pin();
-  memo.Publish(1, MakePayload(RelSet::Single(1), 10.0), /*gen=*/1);
-  memo.Publish(2, MakePayload(RelSet::Single(2), 20.0), /*gen=*/2);
-  memo.Publish(3, MakePayload(RelSet::Single(3), 30.0), /*gen=*/3);
-  memo.Unpin();
+  memo.Publish(1, MakePayload(RelSet::Single(1), 10.0));
+  memo.Publish(2, MakePayload(RelSet::Single(2), 20.0));
+  memo.Publish(3, MakePayload(RelSet::Single(3), 30.0));
+  EXPECT_EQ(memo.sequence(), 3u);
 
   EXPECT_EQ(memo.ExportEntries(0).size(), 3u);
-  EXPECT_EQ(memo.ExportEntries(2).size(), 2u);  // min_gen is inclusive
+  EXPECT_EQ(memo.ExportEntries(2).size(), 2u);  // min_seq is inclusive
   std::vector<MemoExportEntry> newest = memo.ExportEntries(3);
   ASSERT_EQ(newest.size(), 1u);
   EXPECT_EQ(newest[0].map_key, 3u);
-  EXPECT_EQ(newest[0].gen, 3u);
+  EXPECT_EQ(newest[0].seq, 3u);
   EXPECT_EQ(memo.ExportEntries(4).size(), 0u);
 
   // Entries cost under an old stats epoch never leave the process: after
-  // AdvanceEpoch the whole export is empty even at min_gen 0.
+  // AdvanceEpoch the whole export is empty even at min_seq 0.
   memo.AdvanceEpoch();
   EXPECT_EQ(memo.ExportEntries(0).size(), 0u);
 }
 
 TEST(SharedMemoExportTest, ExportIsDeterministicallyOrdered) {
   SharedMemo memo;
-  memo.Pin();
-  // Publish out of key order, with an improvement chain on key 5.
-  memo.Publish(9, MakePayload(RelSet::Single(1), 10.0), 1);
-  memo.Publish(5, MakePayload(RelSet::Single(2), 20.0), 1);
-  memo.Publish(5, MakePayload(RelSet::Single(2), 15.0), 2);
-  memo.Publish(7, MakePayload(RelSet::Single(3), 30.0), 2);
-  memo.Unpin();
+  // Publish out of key order, with an improvement on key 5 and a second
+  // full key colliding into key 5's bucket.
+  memo.Publish(9, MakePayload(RelSet::Single(1), 10.0));
+  memo.Publish(5, MakePayload(RelSet::Single(2), 20.0));
+  memo.Publish(5, MakePayload(RelSet::Single(4), 40.0));
+  memo.Publish(5, MakePayload(RelSet::Single(2), 15.0));
+  memo.Publish(7, MakePayload(RelSet::Single(3), 30.0));
 
   std::vector<MemoExportEntry> a = memo.ExportEntries(0);
   std::vector<MemoExportEntry> b = memo.ExportEntries(0);
@@ -392,26 +376,22 @@ TEST(SharedMemoExportTest, ExportIsDeterministicallyOrdered) {
     EXPECT_EQ(a[i].map_key, b[i].map_key) << i;
     EXPECT_EQ(a[i].payload.get(), b[i].payload.get()) << i;
   }
-  // Sorted by map key; within key 5, oldest (original) before improved.
+  // Sorted by map key; within key 5's bucket, in filing order (the
+  // improvement replaced the 20.0 entry and was filed after the 40.0 one).
   EXPECT_EQ(a[0].map_key, 5u);
   EXPECT_EQ(a[1].map_key, 5u);
-  EXPECT_EQ(a[0].payload->cost, 20.0);
+  EXPECT_EQ(a[0].payload->cost, 40.0);
   EXPECT_EQ(a[1].payload->cost, 15.0);
   EXPECT_EQ(a[2].map_key, 7u);
   EXPECT_EQ(a[3].map_key, 9u);
 }
 
-TEST(SharedMemoExportTest, ImportIsVisibleToAllQueriesAndDedups) {
+TEST(SharedMemoExportTest, ImportIsVisibleAndDedups) {
   SharedMemo memo;
   auto payload = MakePayload(RelSet::Single(1), 10.0);
   EXPECT_EQ(memo.Import(7, payload), MemoPublishResult::kStoredNew);
-  // Visible from the very first BeginQuery generation (gen-0 rule).
-  uint64_t gen = memo.BeginQuery();
-  EXPECT_GE(gen, 1u);
-  memo.Pin();
   MemoProbeStats stats;
-  EXPECT_NE(memo.Find(ProbeFor(*payload, 7), gen, &stats), nullptr);
-  memo.Unpin();
+  EXPECT_NE(memo.Find(ProbeFor(*payload, 7), &stats), nullptr);
 
   // Re-importing the same entry (snapshot + log overlap after a crash
   // between rename and log cleanup) dedups instead of accreting.
@@ -421,21 +401,20 @@ TEST(SharedMemoExportTest, ImportIsVisibleToAllQueriesAndDedups) {
   // A strictly cheaper import supersedes, like a live publish.
   EXPECT_EQ(memo.Import(7, MakePayload(RelSet::Single(1), 5.0)),
             MemoPublishResult::kStoredImproved);
+  EXPECT_EQ(memo.entry_count(), 1);
 }
 
 TEST(SharedMemoExportTest, ImportsAreNotReExportedByAppends) {
   SharedMemo memo;
   memo.Import(7, MakePayload(RelSet::Single(1), 10.0));
-  // A snapshot (min_gen 0) includes the import; the incremental append
-  // window (min_gen >= 1) must not, or every flush would re-log the
+  // A snapshot (min_seq 0) includes the import; the incremental append
+  // window (min_seq >= 1) must not, or every flush would re-log the
   // whole imported cache.
   EXPECT_EQ(memo.ExportEntries(0).size(), 1u);
   EXPECT_EQ(memo.ExportEntries(1).size(), 0u);
+  EXPECT_EQ(memo.sequence(), 0u);
 
-  uint64_t gen = memo.BeginQuery();
-  memo.Pin();
-  memo.Publish(9, MakePayload(RelSet::Single(2), 20.0), gen);
-  memo.Unpin();
+  memo.Publish(9, MakePayload(RelSet::Single(2), 20.0));
   std::vector<MemoExportEntry> fresh = memo.ExportEntries(1);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].map_key, 9u);
@@ -448,12 +427,10 @@ TEST(SharedMemoExportTest, ExportImportRoundTripPreservesTrackerBalance) {
     SharedMemo::Config config;
     config.parent = &root;
     SharedMemo source(config);
-    source.Pin();
     for (int i = 0; i < 8; ++i) {
       source.Publish(static_cast<uint64_t>(i + 1),
-                     MakePayload(RelSet::Single(i), 10.0 + i), 1);
+                     MakePayload(RelSet::Single(i), 10.0 + i));
     }
-    source.Unpin();
     exported = source.ExportEntries(0);
     ASSERT_EQ(exported.size(), 8u);
     source.Clear();

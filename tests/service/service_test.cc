@@ -23,6 +23,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "algebra/plan_parser.h"
 #include "common/metrics.h"
@@ -194,6 +195,103 @@ TEST(ServiceStateTest, OverloadShedsWithResourceExhausted) {
   // The service recovered: the same query succeeds once the load is gone.
   EXPECT_EQ(state.Handle(QueryMessage()).type, "RESULT");
   EXPECT_EQ(state.root_tracker().used(), 0);
+}
+
+// A full plan cache keeps learning: with a budget far below the working
+// set of many distinct query templates, concurrent clients' publishes
+// evict least-recently-used entries instead of being rejected. Every
+// result still matches the solo run, and the root tracker drains to zero.
+TEST(ServiceStateTest, SmallPlanCacheEvictsUnderConcurrentClients) {
+  constexpr int kClients = 4;
+  Database db = TestData(5, 12);
+  const char* kOps[] = {"join", "loj", "laj", "lsj"};
+  const char* kPreds[] = {"p01=R0.a = R1.a", "p12=R1.b = R2.b",
+                          "p23=R2.a = R3.a", "p34=R3.b = R4.b"};
+  // 16 distinct templates: the ops of the two outer joins of a 5-way chain.
+  std::vector<WireMessage> templates;
+  std::vector<std::string> solo;
+  for (const char* outer : kOps) {
+    for (const char* inner : kOps) {
+      std::string plan = std::string("(R0 ") + outer + "[p01] (R1 " + inner +
+                         "[p12] (R2 join[p23] (R3 loj[p34] R4))))";
+      WireMessage msg;
+      msg.type = "QUERY";
+      msg.Add("plan", plan);
+      for (const char* pred : kPreds) msg.Add("pred", pred);
+      msg.AddInt("rows", 1);
+      templates.push_back(msg);
+
+      std::map<std::string, PredRef> preds;
+      std::string error;
+      for (const char* spec : kPreds) {
+        std::string text(spec);
+        size_t eq = text.find('=');
+        std::string name = text.substr(0, eq);
+        preds[name] = ParsePredicate(text.substr(eq + 1), name, &error);
+      }
+      PlanPtr parsed = ParsePlan(plan, preds, &error);
+      ASSERT_NE(parsed, nullptr) << error;
+      Optimizer opt;
+      auto best = opt.Optimize(*parsed, db);
+      solo.push_back(RelationToTbl(opt.Execute(*best.plan, db)));
+    }
+  }
+
+  ServiceOptions options;
+  options.admission.max_concurrent = 2;
+  options.plan_cache_bytes = 64 << 10;
+  ServiceState state(&db, options);
+  ASSERT_NE(state.plan_cache(), nullptr);
+  const int64_t evictions_before = CounterValue("memo.lru_evictions");
+  const int64_t rejects_before = CounterValue("memo.mem_rejects");
+
+  // Each client walks every template twice, starting at its own offset.
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const size_t n = templates.size();
+      for (size_t k = 0; k < 2 * n; ++k) {
+        const size_t t = (k + static_cast<size_t>(c) * 4) % n;
+        WireMessage response = state.Handle(templates[t]);
+        const std::string* data = response.Find("data");
+        if (response.type != "RESULT" || data == nullptr ||
+            *data != solo[t]) {
+          failures[static_cast<size_t>(c)] =
+              "template " + std::to_string(t) + ": " + response.type;
+          return;
+        }
+        if (state.plan_cache()->used_bytes() >
+            state.plan_cache()->max_bytes()) {
+          failures[static_cast<size_t>(c)] = "cache over its byte budget";
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const std::string& f : failures) EXPECT_EQ(f, "");
+
+  EXPECT_GT(CounterValue("memo.lru_evictions"), evictions_before);
+  EXPECT_EQ(CounterValue("memo.mem_rejects"), rejects_before);
+  EXPECT_GT(state.plan_cache()->entry_count(), 0);
+  EXPECT_EQ(state.root_tracker().used(), state.plan_cache()->used_bytes());
+  state.ClearPlanCache();
+  EXPECT_EQ(state.root_tracker().used(), 0);
+}
+
+// A token registered after CancelAll (a query admitted just before the
+// drain) is cancelled on arrival and counted as drained.
+TEST(CancelRegistryTest, LateRegistrationIsCancelledAndCounted) {
+  CancelRegistry registry;
+  const int64_t drained_before = CounterValue("service.drained");
+  EXPECT_EQ(registry.CancelAll(), 0);
+  EXPECT_EQ(CounterValue("service.drained"), drained_before);
+  CancelToken token;
+  registry.Register(&token);
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(CounterValue("service.drained"), drained_before + 1);
+  registry.Unregister(&token);
 }
 
 // A deadline the estimated runtime cannot fit is rejected before wasting

@@ -244,10 +244,7 @@ TEST(CacheStoreTest, SnapshotBytesArePinned) {
   SharedMemo::Config config;
   config.parent = &root;
   SharedMemo memo(config);
-  uint64_t gen = memo.BeginQuery();
-  memo.Pin();
-  memo.Publish(101, RichPayload(), gen);
-  memo.Unpin();
+  memo.Publish(101, RichPayload());
   Status s = CacheStore(path).WriteSnapshot(&memo, 0x5eedu);
   ASSERT_TRUE(s.ok()) << s.ToString();
   memo.Clear();
@@ -275,12 +272,9 @@ TEST(CacheStoreTest, SnapshotRoundTripWarmsAFreshMemo) {
     SharedMemo::Config config;
     config.parent = &root;
     SharedMemo memo(config);
-    uint64_t gen = memo.BeginQuery();
-    memo.Pin();
-    memo.Publish(101, rich, gen);
-    memo.Publish(202, LeafPayload(1, 7.0), gen);
-    memo.Publish(303, LeafPayload(2, 9.0), gen);
-    memo.Unpin();
+    memo.Publish(101, rich);
+    memo.Publish(202, LeafPayload(1, 7.0));
+    memo.Publish(303, LeafPayload(2, 9.0));
     CacheStore store(path);
     Status s = store.WriteSnapshot(&memo, catalog_fp);
     ASSERT_TRUE(s.ok()) << s.ToString();
@@ -302,14 +296,12 @@ TEST(CacheStoreTest, SnapshotRoundTripWarmsAFreshMemo) {
   EXPECT_EQ(root.used(), memo.used_bytes());
 
   // The warmed entries answer probes exactly like the originals.
-  uint64_t gen = memo.BeginQuery();
-  memo.Pin();
   MemoProbeStats stats;
-  const MemoPayload* hit = memo.Find(ProbeFor(*rich, 101), gen, &stats);
+  std::shared_ptr<const MemoPayload> hit =
+      memo.Find(ProbeFor(*rich, 101), &stats);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cost, rich->cost);
   EXPECT_EQ(hit->subtree->ToString(), rich->subtree->ToString());
-  memo.Unpin();
   memo.Clear();
   EXPECT_EQ(root.used(), 0);
 
@@ -327,10 +319,7 @@ TEST(CacheStoreTest, AppendNewPersistsOnlyNewEntries) {
   // Empty snapshot establishes the watermark and the snapshot file.
   ASSERT_TRUE(store.WriteSnapshot(&memo, catalog_fp).ok());
 
-  uint64_t gen = memo.BeginQuery();
-  memo.Pin();
-  memo.Publish(11, LeafPayload(1, 7.0), gen);
-  memo.Unpin();
+  memo.Publish(11, LeafPayload(1, 7.0));
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
   ASSERT_TRUE(fs::exists(store.log_path()));
   uintmax_t after_first = fs::file_size(store.log_path());
@@ -340,10 +329,7 @@ TEST(CacheStoreTest, AppendNewPersistsOnlyNewEntries) {
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
   EXPECT_EQ(fs::file_size(store.log_path()), after_first);
 
-  gen = memo.BeginQuery();
-  memo.Pin();
-  memo.Publish(22, LeafPayload(2, 9.0), gen);
-  memo.Unpin();
+  memo.Publish(22, LeafPayload(2, 9.0));
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
   EXPECT_GT(fs::file_size(store.log_path()), after_first);
 
@@ -376,12 +362,9 @@ TEST(CacheStoreTest, TruncationSweepAtEveryOffsetLoadsOrDegrades) {
   const uint64_t catalog_fp = 0x5eedu;
 
   SharedMemo source;
-  uint64_t gen = source.BeginQuery();
-  source.Pin();
-  source.Publish(101, RichPayload(), gen);
-  source.Publish(202, LeafPayload(1, 7.0), gen);
-  source.Publish(303, LeafPayload(2, 9.0), gen);
-  source.Unpin();
+  source.Publish(101, RichPayload());
+  source.Publish(202, LeafPayload(1, 7.0));
+  source.Publish(303, LeafPayload(2, 9.0));
   CacheStore writer(path);
   ASSERT_TRUE(writer.WriteSnapshot(&source, catalog_fp).ok());
   std::vector<unsigned char> full = ReadFileBytes(path);
@@ -431,11 +414,8 @@ TEST(CacheStoreTest, TornLogIsTruncatedAndStaysAppendable) {
   SharedMemo memo;
   CacheStore store(path);
   ASSERT_TRUE(store.WriteSnapshot(&memo, catalog_fp).ok());
-  uint64_t gen = memo.BeginQuery();
-  memo.Pin();
-  memo.Publish(11, LeafPayload(1, 7.0), gen);
-  memo.Publish(22, LeafPayload(2, 9.0), gen);
-  memo.Unpin();
+  memo.Publish(11, LeafPayload(1, 7.0));
+  memo.Publish(22, LeafPayload(2, 9.0));
   ASSERT_TRUE(store.AppendNew(&memo, catalog_fp).ok());
 
   // Tear the log mid-way through its last record (simulates a crash
@@ -458,10 +438,7 @@ TEST(CacheStoreTest, TornLogIsTruncatedAndStaysAppendable) {
 
   // ...and a subsequent daemon can keep appending to it: new entries land
   // after the repaired tail and the whole file stays loadable.
-  gen = recovered.BeginQuery();
-  recovered.Pin();
-  recovered.Publish(33, LeafPayload(3, 11.0), gen);
-  recovered.Unpin();
+  recovered.Publish(33, LeafPayload(3, 11.0));
   ASSERT_TRUE(reloaded.AppendNew(&recovered, catalog_fp).ok());
   SharedMemo final_memo;
   CacheStore::LoadResult final_load =
@@ -479,10 +456,7 @@ TEST(CacheStoreTest, StaleEpochEntriesAreDiscardedOnLoad) {
   const uint64_t catalog_fp = 0x5eedu;
 
   SharedMemo source;
-  uint64_t gen = source.BeginQuery();
-  source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen);
-  source.Unpin();
+  source.Publish(11, LeafPayload(1, 7.0));
   ASSERT_TRUE(CacheStore(path).WriteSnapshot(&source, catalog_fp).ok());
 
   // The loading daemon's statistics have moved on: its memo is at epoch
@@ -503,10 +477,7 @@ TEST(CacheStoreTest, WrongCatalogFingerprintDiscardsTheFile) {
   std::string path = dir + "/plan.cache";
 
   SharedMemo source;
-  uint64_t gen = source.BeginQuery();
-  source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen);
-  source.Unpin();
+  source.Publish(11, LeafPayload(1, 7.0));
   ASSERT_TRUE(CacheStore(path).WriteSnapshot(&source, 0x5eedu).ok());
 
   SharedMemo memo;
@@ -549,10 +520,7 @@ TEST(CacheStoreTest, CacheIoFaultsFailWritesCleanlyAndDegradeLoads) {
   const uint64_t catalog_fp = 0x5eedu;
 
   SharedMemo source;
-  uint64_t gen = source.BeginQuery();
-  source.Pin();
-  source.Publish(11, LeafPayload(1, 7.0), gen);
-  source.Unpin();
+  source.Publish(11, LeafPayload(1, 7.0));
 
   // Every early fault site in the snapshot path: the write fails with a
   // Status and never leaves a half-written snapshot visible at `path`.

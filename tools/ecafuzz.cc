@@ -971,7 +971,6 @@ int Main(int argc, char** argv) {
         // statistics: the epoch advance is what keeps entries costed
         // under trial i's stats unreachable from trial i+1.
         cache->AdvanceEpoch();
-        if (i % 16 == 15) cache->Sweep();  // exercise reclamation mid-run
       }
       std::string failure = RunEnumDiff(t, cache.get());
       if (!failure.empty()) {
