@@ -136,11 +136,12 @@ inline int RunFig6Sweep(const SweepConfig& cfg) {
       EnumeratorOptions eca_opts;
       TopDownEnumerator eca_enum(&cost, eca_opts);
       auto eca_choice = eca_enum.Optimize(*q.plan);
-      bool picked_reordered =
-          OrderingKey(*eca_choice.plan) == OrderingKey(*eca);
+      const std::string pick = OrderingKey(*eca_choice.plan);
       std::printf("%10.0f %8.3f %12.2f %12.2f %8.2fx   %s\n", nu, f12,
                   t_pg, t_eca, speedup,
-                  picked_reordered ? "eca-opt: reordered" : "eca-opt: direct");
+                  pick == OrderingKey(*eca)       ? "same as P^ECA"
+                  : pick == OrderingKey(*pg.plan) ? "same as P^pg"
+                                                  : "other");
     }
     std::printf("max speedup at %s: %.2fx\n\n", cfg.scale_labels[si],
                 max_speedup);

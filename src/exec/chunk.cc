@@ -140,22 +140,33 @@ bool KeyColumn::Equal(const KeyColumn& a, int64_t ra, const KeyColumn& b,
   return false;
 }
 
-void KeyChunkSet::Reset(const std::vector<KeyColumn::Tag>& tags, int64_t n) {
+void KeyChunkSet::Bind(const std::vector<KeyColumn::Tag>& tags,
+                       std::vector<ScalarRef> exprs, const Schema& schema) {
+  ECA_CHECK(tags.size() == exprs.size());
   cols.resize(tags.size());
-  for (size_t k = 0; k < tags.size(); ++k) cols[k].Reset(tags[k], n);
+  for (size_t k = 0; k < tags.size(); ++k) cols[k].Reset(tags[k], 0);
+  col_idx_.clear();
+  for (const ScalarRef& e : exprs) {
+    int idx = -1;
+    DataType type = DataType::kInt64;
+    BindColumn(e, schema, &idx, &type);
+    col_idx_.push_back(idx);
+  }
+  exprs_ = std::move(exprs);
+  schema_ = &schema;
+}
+
+void KeyChunkSet::Reset(int64_t n) {
+  for (KeyColumn& c : cols) c.Reset(c.tag(), n);
   hashes.assign(static_cast<size_t>(n), 0);
   valid.assign(static_cast<size_t>(n), 0);
 }
 
-void KeyChunkSet::ExtractRow(int64_t r, const Tuple& row,
-                             const std::vector<int>& col_idx,
-                             const std::vector<ScalarRef>& exprs,
-                             const Schema& schema) {
-  // FNV combine over per-column hashes, matching HashTuple's shape so a
-  // single-column key buckets like the row engine did.
+void KeyChunkSet::ExtractRow(int64_t r, const Tuple& row) {
+  // FNV combine over per-column hashes.
   uint64_t h = 14695981039346656037ULL;
   for (size_t k = 0; k < cols.size(); ++k) {
-    if (!cols[k].SetFromRow(r, row, col_idx[k], exprs[k], schema)) {
+    if (!cols[k].SetFromRow(r, row, col_idx_[k], exprs_[k], *schema_)) {
       return;  // NULL key: row stays invalid
     }
     h ^= cols[k].HashAt(r);

@@ -106,21 +106,26 @@ class KeyColumn {
 };
 
 // The columnar key set for one side of a hash join: every key column plus
-// a packed validity bitmap and the combined per-row hash. Filled
-// morsel-parallel (each row slot has exactly one writer).
+// a packed validity bitmap and the combined per-row hash, bound once to
+// its side's key expressions (a bound, empty copy serves as scratch).
+// Filled morsel-parallel (each row slot has exactly one writer).
 struct KeyChunkSet {
   std::vector<KeyColumn> cols;
   std::vector<uint64_t> hashes;  // valid only where valid[r] != 0
   std::vector<uint8_t> valid;    // 1 = all keys non-NULL (one writer/row)
 
-  void Reset(const std::vector<KeyColumn::Tag>& tags, int64_t n);
+  // Binds one column per key expression (tag `tags[k]`) against `schema`.
+  void Bind(const std::vector<KeyColumn::Tag>& tags,
+            std::vector<ScalarRef> exprs, const Schema& schema);
+
+  // Prepares storage for `n` rows, all invalid until extracted.
+  void Reset(int64_t n);
 
   bool ValidAt(int64_t r) const { return valid[static_cast<size_t>(r)] != 0; }
 
-  // Extracts all key values of row `r` (bound via `cols`/`exprs` against
-  // `schema`), records validity and the combined hash. One writer per row.
-  void ExtractRow(int64_t r, const Tuple& row, const std::vector<int>& col_idx,
-                  const std::vector<ScalarRef>& exprs, const Schema& schema);
+  // Extracts row `r`'s key values from `row`, records validity and the
+  // combined hash. One writer per row.
+  void ExtractRow(int64_t r, const Tuple& row);
 
   bool RowEqual(int64_t ra, const KeyChunkSet& b, int64_t rb) const {
     for (size_t k = 0; k < cols.size(); ++k) {
@@ -128,6 +133,11 @@ struct KeyChunkSet {
     }
     return true;
   }
+
+ private:
+  std::vector<ScalarRef> exprs_;
+  std::vector<int> col_idx_;  // bound column index or -1
+  const Schema* schema_ = nullptr;
 };
 
 // Packed per-row null masks for a relation: `words_per_row` consecutive

@@ -39,6 +39,9 @@ struct NodeProfile {
 // Execution statistics accumulated over one Execute() call.
 struct ExecStats {
   int64_t rows_produced = 0;   // total rows materialized across operators
+  // Join work: every table slot and build row a hash-join probe reads
+  // (slots up to its key's, then at most that key's rows); every pair a
+  // nested-loop or sort-merge join compares.
   int64_t probe_comparisons = 0;
   int64_t join_nodes = 0;
   int64_t comp_nodes = 0;
@@ -159,19 +162,19 @@ class Executor {
 
 // Generic join evaluation: uses hash (or sort-merge) join when the predicate
 // contains equi-conjuncts across the two inputs, nested loop otherwise.
-// The hash path builds one shared open-addressing table over typed
-// columnar keys (the smaller input hosts it for inner/semi/anti joins)
+// The hash path builds, on the smaller input for every op, one table with
+// one slot per distinct key whose rows are kept in ascending row order,
 // and probes in fixed-size morsels claimed from a shared cursor; passing
 // a ThreadPool runs build and probe morsel-parallel with output assembled
 // in morsel-index order, so the result is byte-identical for every thread
 // count (and every `tuning` value). A governed call (non-null ctx)
 // additionally observes cancellation and deadline at morsel granularity,
 // charges the build index to the memory tracker, and escalates to the
-// spilling grace hash join when the build would cross the soft threshold
-// — with output still byte-identical. A non-null `fused` chain
-// (compensation operators stacked directly above the join) is applied
-// per emitted row inside the probe pipeline instead of as separate
-// materializing passes.
+// spilling grace hash join when the build would cross the soft threshold;
+// each grace leaf runs the same table and probe kernel, so the output is
+// still byte-identical. A non-null `fused` chain (compensation operators
+// stacked directly above the join) is applied per emitted row inside the
+// probe pipeline instead of as separate materializing passes.
 Relation EvalJoin(JoinOp op, const PredRef& pred, const Relation& left,
                   const Relation& right,
                   Executor::JoinPreference pref = Executor::JoinPreference::kHash,

@@ -1,6 +1,6 @@
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -113,19 +113,7 @@ JoinShape MakeShape(JoinOp op, const Relation& left, const Relation& right) {
   shape.concat_schema = left.schema().Concat(right.schema());
   shape.left_width = left.schema().NumColumns();
   shape.right_width = right.schema().NumColumns();
-  switch (op) {
-    case JoinOp::kLeftSemi:
-    case JoinOp::kLeftAnti:
-      shape.out_schema = left.schema();
-      break;
-    case JoinOp::kRightSemi:
-    case JoinOp::kRightAnti:
-      shape.out_schema = right.schema();
-      break;
-    default:
-      shape.out_schema = shape.concat_schema;
-      break;
-  }
+  shape.out_schema = JoinOutputSchema(op, left.schema(), right.schema());
   return shape;
 }
 
@@ -303,114 +291,282 @@ Relation NestedLoopJoin(JoinOp op, const PredRef& pred, const Relation& left,
   return emitter.Finish();
 }
 
-// --- Morsel-driven vectorized hash join -----------------------------------
+// --- Hash join --------------------------------------------------------------
 //
-// The build side goes into ONE open-addressing table shared by all
-// workers: keys are extracted into typed flat columns (KeyChunkSet) and
-// inserted with a single compare-exchange per row, in the same morsel
-// pass that evaluates the keys. There is no scatter phase, no
-// per-partition table build, and — crucially — none of the two barrier
-// pairs the old partitioned build ran per join, which dominated runtime
-// at small-to-medium build sides and made adding threads a net loss.
-//
-// Determinism: CAS insertion order varies across runs, but the table is
-// only a *set* of row indexes per key — the probe collects every matching
-// build row from the linear-probe cluster and sorts the (usually 0- or
-// 1-element) match list ascending, restoring the increasing-build-row
-// emit order the row engine produced. Probe output is buffered per morsel
-// and concatenated in morsel-index order, and morsel boundaries depend
-// only on (rows, morsel_rows) — so output bytes are identical for every
-// thread count.
+// One table type and one probe kernel serve the in-memory join and every
+// grace leaf. HashTable keeps one open-addressing slot per distinct build
+// key: a morsel-parallel pass extracts typed keys (KeyChunkSet) and each
+// row CAS-claims its key's slot or finds it claimed by an equal key; a
+// counting sort then lays out each key's rows in ascending build-row
+// order, whichever worker won the CAS. ProbeKernel is the only code that
+// meets a probe row with build rows: key lookup, the residual, matched
+// flags, the semi/anti early stops and the fused chain. A probe walks only
+// its key's rows, already in order; morsel outputs concatenate in
+// morsel-index order, and morsel boundaries depend only on (rows,
+// morsel_rows), so output is byte-identical at any thread count and tuning.
 
-struct JoinTable {
-  KeyChunkSet keys;                         // columnar build-side keys
-  std::vector<std::atomic<int64_t>> slots;  // open addressing; -1 = empty
-  uint64_t mask = 0;                        // slots.size() - 1 (power of 2)
-};
+class HashTable {
+ public:
+  // `keys` is bound to the build side's key expressions.
+  explicit HashTable(const KeyChunkSet& keys) : keys_(keys) {}
 
-void BuildJoinTable(const Relation& rel, const std::vector<int>& col_idx,
-                    const std::vector<ScalarRef>& exprs,
-                    const std::vector<KeyColumn::Tag>& tags, ThreadPool* pool,
-                    const ExecTuning& tuning, QueryContext* ctx,
-                    ExecStats* stats, JoinTable* table) {
-  TraceSpan span("join/build");
-  const int64_t n = rel.NumRows();
-  if (span.active()) span.AppendArg("rows", static_cast<long long>(n));
-  table->keys.Reset(tags, n);
-  int64_t cap = 16;
-  while (cap < 2 * n) cap <<= 1;
-  table->slots = std::vector<std::atomic<int64_t>>(static_cast<size_t>(cap));
-  for (auto& s : table->slots) s.store(-1, std::memory_order_relaxed);
-  table->mask = static_cast<uint64_t>(cap - 1);
+  // Builds over `rel`'s rows with non-NULL keys, morsel-parallel when a
+  // pool is given; adds them to stats->hash_build_rows.
+  void Build(const Relation& rel, ThreadPool* pool, const ExecTuning& tuning,
+             QueryContext* ctx, ExecStats* stats) {
+    TraceSpan span("join/build");
+    const int64_t n = rel.NumRows();
+    if (span.active()) span.AppendArg("rows", static_cast<long long>(n));
+    ECA_CHECK(n < (int64_t{1} << 28));  // slots and rows index in 32 bits
+    keys_.Reset(n);
+    int64_t cap = 16;
+    while (cap < 4 * n) cap <<= 1;
+    slots_ = std::vector<std::atomic<int32_t>>(static_cast<size_t>(cap));
+    for (auto& s : slots_) s.store(-1, std::memory_order_relaxed);
+    mask_ = static_cast<uint64_t>(cap - 1);
 
-  // One fused pass: extract the morsel's keys into the typed columns and
-  // CAS each valid row into the table. Load factor stays <= 0.5, so
-  // linear-probe clusters are short. Each worker counts the rows it
-  // inserts into its own slot; the sum is hash_build_rows.
-  MorselCursor cursor(n, tuning.morsel_rows);
-  const bool parallel = pool != nullptr && pool->num_threads() > 1;
-  std::vector<int64_t> inserted(
-      static_cast<size_t>(parallel ? pool->num_threads() : 1), 0);
-  auto build_worker = [&](int worker) {
-    int64_t begin, end, morsel;
-    int64_t count = 0;
-    while (cursor.Next(&begin, &end, &morsel)) {
-      if (ctx != nullptr && ctx->ShouldStop()) break;
-      for (int64_t r = begin; r < end; ++r) {
-        table->keys.ExtractRow(r, rel.rows()[static_cast<size_t>(r)], col_idx,
-                               exprs, rel.schema());
-        if (!table->keys.ValidAt(r)) continue;
-        uint64_t idx =
-            table->keys.hashes[static_cast<size_t>(r)] & table->mask;
-        int64_t expected = -1;
-        while (!table->slots[idx].compare_exchange_strong(
-            expected, r, std::memory_order_release,
-            std::memory_order_relaxed)) {
-          expected = -1;
-          idx = (idx + 1) & table->mask;
+    std::vector<int32_t> slot_of(static_cast<size_t>(n), -1);
+    MorselCursor cursor(n, tuning.morsel_rows);
+    auto build_worker = [&](int) {
+      int64_t begin, end, morsel;
+      while (cursor.Next(&begin, &end, &morsel)) {
+        if (ctx != nullptr && ctx->ShouldStop()) break;
+        for (int64_t r = begin; r < end; ++r) {
+          keys_.ExtractRow(r, rel.rows()[static_cast<size_t>(r)]);
+          if (keys_.ValidAt(r)) slot_of[static_cast<size_t>(r)] = Claim(r);
         }
-        ++count;
+      }
+    };
+    if (pool != nullptr && pool->num_threads() > 1) {
+      pool->RunOnWorkers(build_worker);
+    } else {
+      build_worker(0);
+    }
+
+    // Counting sort by slot. Filling each slot's range from its end while
+    // walking the rows backwards leaves every range ascending and
+    // begin_[s] at the range's start.
+    begin_.assign(static_cast<size_t>(cap) + 1, 0);
+    for (int32_t s : slot_of) {
+      if (s >= 0) ++begin_[static_cast<size_t>(s)];
+    }
+    for (size_t s = 1; s < begin_.size(); ++s) begin_[s] += begin_[s - 1];
+    rows_.resize(begin_.back());
+    for (int64_t r = n - 1; r >= 0; --r) {
+      const int32_t s = slot_of[static_cast<size_t>(r)];
+      if (s < 0) continue;
+      rows_[--begin_[static_cast<size_t>(s)]] = static_cast<int32_t>(r);
+    }
+    if (stats != nullptr) {
+      stats->hash_build_rows += static_cast<int64_t>(rows_.size());
+    }
+  }
+
+  // The slot of key row `i` of `pk`, or -1 when no build row has that key;
+  // adds every slot it reads to *touches.
+  int64_t Find(const KeyChunkSet& pk, int64_t i, int64_t* touches) const {
+    const uint64_t h = pk.hashes[static_cast<size_t>(i)];
+    for (uint64_t s = h & mask_;; s = (s + 1) & mask_) {
+      ++*touches;
+      const int32_t rep = slots_[s].load(std::memory_order_relaxed);
+      if (rep < 0) return -1;
+      if (keys_.hashes[static_cast<size_t>(rep)] == h &&
+          keys_.RowEqual(rep, pk, i)) {
+        return static_cast<int64_t>(s);
       }
     }
-    inserted[static_cast<size_t>(worker)] = count;
-  };
-  if (parallel) {
-    pool->RunOnWorkers(build_worker);
-  } else {
-    build_worker(0);
   }
-  if (stats != nullptr) {
-    for (int64_t c : inserted) stats->hash_build_rows += c;
+
+  // Slot `s`'s build rows, ascending: [Rows(s), Rows(s + 1)).
+  const int32_t* Rows(int64_t s) const {
+    return rows_.data() + begin_[static_cast<size_t>(s)];
   }
-}
+  size_t num_slots() const { return slots_.size(); }
+
+ private:
+  // The slot of build row `r`'s key, claimed if the key is new. The load
+  // factor stays <= 0.25, so a miss reads ~1.4 slots on average.
+  int32_t Claim(int64_t r) {
+    const uint64_t h = keys_.hashes[static_cast<size_t>(r)];
+    for (uint64_t s = h & mask_;; s = (s + 1) & mask_) {
+      // A failed CAS loads the winner, whose keys its release published.
+      int32_t rep = slots_[s].load(std::memory_order_acquire);
+      if (rep < 0 && slots_[s].compare_exchange_strong(
+                         rep, static_cast<int32_t>(r),
+                         std::memory_order_acq_rel,
+                         std::memory_order_acquire)) {
+        return static_cast<int32_t>(s);
+      }
+      if (keys_.hashes[static_cast<size_t>(rep)] == h &&
+          keys_.RowEqual(rep, keys_, r)) {
+        return static_cast<int32_t>(s);
+      }
+    }
+  }
+
+  KeyChunkSet keys_;  // by build row
+  std::vector<std::atomic<int32_t>> slots_;  // a row with the key; -1 = empty
+  uint64_t mask_ = 0;                        // slots_.size() - 1
+  std::vector<uint32_t> begin_;  // slot s's rows: rows_[begin_[s], begin_[s+1])
+  std::vector<int32_t> rows_;
+};
+
+class ProbeKernel {
+ public:
+  // `probe_flags`, indexed by global probe row, is null unless the join
+  // keeps probe-side flags.
+  ProbeKernel(JoinOp op, const HashTable& table, const Relation& build,
+              bool build_left, const CompiledPredicate* residual,
+              const FusedCompChain* fused, uint8_t* probe_flags)
+      : table_(table), build_(build), build_left_(build_left),
+        residual_(residual), fused_(fused), probe_flags_(probe_flags),
+        emit_pairs_(!OutputsOneSide(op)) {
+    if (build_left ? NeedsLeftFlags(op) : NeedsRightFlags(op)) {
+      // Without a residual all rows of a key match together, so the flag
+      // lives on the key's slot; with one, on each build row.
+      build_flags_ = std::vector<std::atomic<uint8_t>>(
+          residual != nullptr ? build.rows().size() : table.num_slots());
+      for (auto& f : build_flags_) f.store(0, std::memory_order_relaxed);
+    }
+    keeps_build_ = !emit_pairs_ && !build_flags_.empty();
+  }
+
+  // Probes key row `i` of `pk`, tuple `prow`, global probe row `probe_row`;
+  // pairs that pass the fused chain go to *out. Adds every slot and build
+  // row read to *touches. Concurrent probes share only the build flags
+  // (relaxed atomics, set to 1 by Mark); a probe row's flag has one writer.
+  void Probe(const KeyChunkSet& pk, int64_t i, const Tuple& prow,
+             size_t probe_row, std::vector<Tuple>* out, int64_t* touches) {
+    const int64_t s = table_.Find(pk, i, touches);
+    if (s < 0) return;
+    const int32_t* first = table_.Rows(s);
+    const int32_t* last = table_.Rows(s + 1);
+    if (residual_ == nullptr) {
+      // The key decides; a semi/anti join reads no build row at all.
+      if (probe_flags_ != nullptr) probe_flags_[probe_row] = 1;
+      if (!build_flags_.empty()) Mark(&build_flags_[static_cast<size_t>(s)]);
+      if (!emit_pairs_) return;
+      *touches += last - first;
+      for (const int32_t* it = first; it != last; ++it) {
+        Emit(build_.rows()[static_cast<size_t>(*it)], prow, out);
+      }
+      return;
+    }
+    for (const int32_t* it = first; it != last; ++it) {
+      ++*touches;
+      std::atomic<uint8_t>* flag =
+          build_flags_.empty() ? nullptr
+                               : &build_flags_[static_cast<size_t>(*it)];
+      // A build row a semi/anti join keeps is decided by its first match.
+      if (keeps_build_ && flag->load(std::memory_order_relaxed) != 0) continue;
+      const Tuple& brow = build_.rows()[static_cast<size_t>(*it)];
+      if (!residual_->EvalTrue(Pair(brow, prow))) continue;
+      if (flag != nullptr) Mark(flag);
+      if (probe_flags_ != nullptr) probe_flags_[probe_row] = 1;
+      if (emit_pairs_) {
+        Emit(brow, prow, out);
+      } else if (!keeps_build_) {
+        return;  // a semi/anti join keeping the probe side: row decided
+      }
+    }
+  }
+
+  // Build-side matched flags by build row, empty when the join keeps none.
+  // Call once every probe has finished.
+  std::vector<uint8_t> BuildMatched() const {
+    std::vector<uint8_t> matched;
+    if (build_flags_.empty()) return matched;
+    matched.assign(build_.rows().size(), 0);
+    for (size_t f = 0; f < build_flags_.size(); ++f) {
+      if (build_flags_[f].load(std::memory_order_relaxed) == 0) continue;
+      if (residual_ != nullptr) {
+        matched[f] = 1;
+        continue;
+      }
+      const int64_t s = static_cast<int64_t>(f);
+      for (const int32_t* it = table_.Rows(s); it != table_.Rows(s + 1);
+           ++it) {
+        matched[static_cast<size_t>(*it)] = 1;
+      }
+    }
+    return matched;
+  }
+
+ private:
+  // Stores only when the flag is still clear: every probe of a hot key
+  // would otherwise write its cache line from every worker.
+  static void Mark(std::atomic<uint8_t>* flag) {
+    if (flag->load(std::memory_order_relaxed) == 0) {
+      flag->store(1, std::memory_order_relaxed);
+    }
+  }
+
+  Tuple Pair(const Tuple& brow, const Tuple& prow) const {
+    return build_left_ ? ConcatTuples(brow, prow) : ConcatTuples(prow, brow);
+  }
+
+  void Emit(const Tuple& brow, const Tuple& prow,
+            std::vector<Tuple>* out) const {
+    Tuple t = Pair(brow, prow);
+    if (fused_ == nullptr || fused_->Apply(&t)) out->push_back(std::move(t));
+  }
+
+  const HashTable& table_;
+  const Relation& build_;
+  const bool build_left_;
+  const CompiledPredicate* residual_;
+  const FusedCompChain* fused_;
+  uint8_t* const probe_flags_;
+  const bool emit_pairs_;
+  bool keeps_build_;  // a semi/anti join whose output is the build side
+  std::vector<std::atomic<uint8_t>> build_flags_;
+};
 
 // --- Grace (spilling) hash join -------------------------------------------
 //
 // The escalation target when a governed hash join's build side would push
-// the memory tracker past its soft threshold: both sides are hash-
-// partitioned to temp files (rows with NULL keys never spill — they cannot
-// match and their outer/anti handling comes from the matched flags), then
-// each partition is joined independently with only its build slice
-// resident. A partition whose build side still exceeds the budget is
-// re-partitioned recursively on the next 4 hash bits. Peak memory is one
-// build partition plus the output.
+// the memory tracker past its soft threshold. Both sides are partitioned
+// to temp files on the table's key hash (NULL-keyed rows never spill: they
+// cannot match, and the matched flags handle them); a partition whose
+// build side still exceeds the budget re-partitions on the next 4 bits.
+// Each leaf is a smaller in-memory join: a HashTable over its build slice,
+// with its probe partition streamed through a ProbeKernel in chunk_rows
+// strips. Peak memory is one build partition plus the output.
 //
-// Output stays byte-identical to the in-memory join: the in-memory probe
-// emits matches in ascending (probe row, build row) order — all matches of
-// one probe row share its key, hence its hash, hence one bucket whose
-// build rows are inserted in increasing row order. Here every spilled row
-// carries its global row index as the record tag, partitioning preserves
-// relative order per partition, all matches of one probe row land in one
-// partition, and a final stable sort on the probe index restores the
-// global order. The matched-flag arrays are global, so the sequential
-// FinishJoinOutput padding phase is identical too.
+// Output stays byte-identical: spilled rows carry their global row index
+// as the record tag, which indexes the global matched flags. Partitioning
+// keeps relative order, so each probe row's matches come out of its one
+// leaf in global build-row order, and a stable sort on the probe tag
+// restores the in-memory (probe row, build row) order.
 
 constexpr int kGraceFanout = 16;  // partitions per level: 4 hash bits
 constexpr int kGraceMaxDepth = 8;  // beyond this, process in memory
 
+// Routes on the top hash bits, 4 per level. The leaf's table indexes by the
+// low bits; routing on those would put all keys of a depth-d leaf into
+// 1/16^d of its slots.
 size_t GracePartOf(uint64_t h, int depth) {
-  return static_cast<size_t>(
-      (h >> (4 * depth)) & static_cast<uint64_t>(kGraceFanout - 1));
+  return static_cast<size_t>((h >> (60 - 4 * depth)) &
+                             static_cast<uint64_t>(kGraceFanout - 1));
+}
+
+// Replaces *tags / *rows with the next (at most) `max_rows` records of
+// `reader`; sets *eof once the stream has ended.
+Status ReadStrip(SpillReader* reader, int64_t max_rows,
+                 std::vector<uint64_t>* tags, std::vector<Tuple>* rows,
+                 bool* eof) {
+  tags->clear();
+  rows->clear();
+  uint64_t tag = 0;
+  Tuple row;
+  while (static_cast<int64_t>(rows->size()) < max_rows) {
+    ECA_RETURN_IF_ERROR(reader->Next(&tag, &row, eof));
+    if (*eof) break;
+    tags->push_back(tag);
+    rows->push_back(std::move(row));
+    row = Tuple();
+  }
+  return Status::OK();
 }
 
 // Lazily-opened fan of partition files for one side of one level.
@@ -418,14 +574,25 @@ class GraceFan {
  public:
   GraceFan(SpillDir* dir, SpillStats* stats) : dir_(dir), stats_(stats) {}
 
-  Status Add(size_t part, uint64_t tag, const Tuple& row) {
-    SpillWriter& w = writers_[part];
-    if (paths_[part].empty()) {
-      ECA_ASSIGN_OR_RETURN(std::string path, dir_->NextFilePath());
-      ECA_RETURN_IF_ERROR(w.Open(path, stats_));
-      paths_[part] = std::move(path);
+  // Routes rows [0, n) of `rows`, tagged `tags`, by their key hash at
+  // `depth`; `keys` is bound scratch.
+  Status Route(const Tuple* rows, const uint64_t* tags, int64_t n,
+               KeyChunkSet* keys, int depth) {
+    keys->Reset(n);
+    for (int64_t i = 0; i < n; ++i) {
+      keys->ExtractRow(i, rows[i]);
+      if (!keys->ValidAt(i)) continue;  // NULL keys never match
+      const size_t part =
+          GracePartOf(keys->hashes[static_cast<size_t>(i)], depth);
+      SpillWriter& w = writers_[part];
+      if (paths_[part].empty()) {
+        ECA_ASSIGN_OR_RETURN(std::string path, dir_->NextFilePath());
+        ECA_RETURN_IF_ERROR(w.Open(path, stats_));
+        paths_[part] = std::move(path);
+      }
+      ECA_RETURN_IF_ERROR(w.Append(tags[i], rows[i]));
     }
-    return w.Append(tag, row);
+    return Status::OK();
   }
 
   Status FinishAll() {
@@ -449,25 +616,16 @@ class GraceFan {
 class GraceHashJoin {
  public:
   GraceHashJoin(JoinOp op, const JoinShape& shape,
-                const KeyEvaluator& build_keys, const KeyEvaluator& probe_keys,
+                const KeyChunkSet& build_keys, const KeyChunkSet& probe_keys,
                 bool build_left, const CompiledPredicate* residual,
                 const FusedCompChain* fused, const Relation& left,
-                const Relation& right, QueryContext* ctx, ExecStats* stats)
-      : op_(op),
-        shape_(shape),
-        build_keys_(build_keys),
-        probe_keys_(probe_keys),
-        build_left_(build_left),
-        residual_(residual),
-        fused_(fused),
-        left_(left),
-        right_(right),
-        build_(build_left ? left : right),
-        probe_(build_left ? right : left),
-        ctx_(ctx),
-        stats_(stats),
-        dir_("eca-grace", ctx->spill_dir()),
-        out_charge_(ctx) {
+                const Relation& right, const ExecTuning& tuning,
+                QueryContext* ctx, ExecStats* stats)
+      : op_(op), shape_(shape), build_keys_(build_keys),
+        probe_keys_(probe_keys), build_left_(build_left),
+        residual_(residual), fused_(fused), left_(left), right_(right),
+        tuning_(tuning), ctx_(ctx), stats_(stats),
+        dir_("eca-grace", ctx->spill_dir()), out_charge_(ctx) {
     if (NeedsLeftFlags(op)) {
       left_matched_.assign(static_cast<size_t>(left.NumRows()), 0);
     }
@@ -477,11 +635,10 @@ class GraceHashJoin {
   }
 
   Status Run(Relation* out) {
-    SpillStats before = sstats_;
     Status s = RunImpl(out);
     if (stats_ != nullptr) {
-      stats_->spill_bytes += sstats_.bytes_written - before.bytes_written;
-      stats_->spill_read_bytes += sstats_.bytes_read - before.bytes_read;
+      stats_->spill_bytes += sstats_.bytes_written;
+      stats_->spill_read_bytes += sstats_.bytes_read;
     }
     return s;
   }
@@ -501,26 +658,36 @@ class GraceHashJoin {
   }
 
   Status RunImpl(Relation* out) {
-    // Level 0: partition both in-memory sides.
+    // Level 0: partition both in-memory sides, one strip at a time.
+    auto partition = [&](const Relation& rel, KeyChunkSet keys,
+                         GraceFan* fan) -> Status {
+      std::vector<uint64_t> tags;
+      for (int64_t b = 0; b < rel.NumRows(); b += tuning_.chunk_rows) {
+        if (ctx_->ShouldStop()) return ctx_->StopStatus();
+        tags.resize(static_cast<size_t>(
+            std::min(tuning_.chunk_rows, rel.NumRows() - b)));
+        std::iota(tags.begin(), tags.end(), static_cast<uint64_t>(b));
+        ECA_RETURN_IF_ERROR(fan->Route(rel.rows().data() + b, tags.data(),
+                                       static_cast<int64_t>(tags.size()),
+                                       &keys, /*depth=*/0));
+      }
+      return fan->FinishAll();
+    };
     GraceFan build_fan(&dir_, &sstats_);
     GraceFan probe_fan(&dir_, &sstats_);
     {
       TraceSpan part_span("join/partition");
-      ECA_RETURN_IF_ERROR(PartitionRelation(build_, build_keys_, &build_fan));
-      ECA_RETURN_IF_ERROR(PartitionRelation(probe_, probe_keys_, &probe_fan));
-      ECA_RETURN_IF_ERROR(build_fan.FinishAll());
-      ECA_RETURN_IF_ERROR(probe_fan.FinishAll());
+      ECA_RETURN_IF_ERROR(
+          partition(build_left_ ? left_ : right_, build_keys_, &build_fan));
+      ECA_RETURN_IF_ERROR(
+          partition(build_left_ ? right_ : left_, probe_keys_, &probe_fan));
     }
-
     for (int p = 0; p < kGraceFanout; ++p) {
       ECA_RETURN_IF_ERROR(ProcessPartition(build_fan.path(p),
                                            build_fan.bytes(p),
                                            probe_fan.path(p), /*depth=*/1));
     }
 
-    // Stable sort on the probe index restores the in-memory emit order
-    // (within one probe row, partition-local order is already ascending
-    // build index, and one probe row's matches live in one partition).
     std::stable_sort(matches_.begin(), matches_.end(),
                      [](const TaggedRow& a, const TaggedRow& b) {
                        return a.tag < b.tag;
@@ -535,39 +702,21 @@ class GraceHashJoin {
     return Status::OK();
   }
 
-  Status PartitionRelation(const Relation& rel, const KeyEvaluator& ke,
-                           GraceFan* fan) {
-    std::vector<Value> kv;
-    for (int64_t r = 0; r < rel.NumRows(); ++r) {
-      if ((r & 4095) == 0 && ctx_->ShouldStop()) return ctx_->StopStatus();
-      const Tuple& row = rel.rows()[static_cast<size_t>(r)];
-      if (!ke.Eval(row, &kv)) continue;  // NULL keys never match
-      uint64_t h = HashTuple(kv);
-      ECA_RETURN_IF_ERROR(
-          fan->Add(GracePartOf(h, 0), static_cast<uint64_t>(r), row));
-    }
-    return Status::OK();
-  }
-
-  // Streams a spill file through the key evaluator into a deeper fan.
-  Status Repartition(const std::string& path, const KeyEvaluator& ke,
+  // Streams a spill file, strip by strip, into a deeper fan.
+  Status Repartition(const std::string& path, const KeyChunkSet& bound,
                      int depth, GraceFan* fan) {
     SpillReader reader;
     ECA_RETURN_IF_ERROR(reader.Open(path, &sstats_));
-    std::vector<Value> kv;
-    uint64_t tag = 0;
-    Tuple row;
-    bool eof = false;
-    int64_t n = 0;
-    while (true) {
-      ECA_RETURN_IF_ERROR(reader.Next(&tag, &row, &eof));
-      if (eof) break;
-      if ((++n & 4095) == 0 && ctx_->ShouldStop()) return ctx_->StopStatus();
-      bool valid = ke.Eval(row, &kv);
-      ECA_DCHECK(valid);  // NULL-key rows were never spilled
-      (void)valid;
+    KeyChunkSet keys = bound;
+    std::vector<Tuple> strip;
+    std::vector<uint64_t> tags;
+    for (bool eof = false; !eof;) {
+      if (ctx_->ShouldStop()) return ctx_->StopStatus();
       ECA_RETURN_IF_ERROR(
-          fan->Add(GracePartOf(HashTuple(kv), depth), tag, row));
+          ReadStrip(&reader, tuning_.chunk_rows, &tags, &strip, &eof));
+      ECA_RETURN_IF_ERROR(fan->Route(strip.data(), tags.data(),
+                                     static_cast<int64_t>(strip.size()),
+                                     &keys, depth));
     }
     return Status::OK();
   }
@@ -602,133 +751,77 @@ class GraceHashJoin {
     TraceSpan span("join/spill-probe");
     if (stats_ != nullptr) ++stats_->spilled_partitions;
 
-    // Load the build slice (the only resident piece) and key it by hash;
-    // file order is ascending global row index, so bucket vectors are too.
+    // Load the build slice, the only resident piece, charging it as it
+    // grows. Local build row r is global row build_tags[r].
     ExecCharge part_charge(ctx_);
-    int64_t pending = 0;
-    std::vector<TaggedRow> build_rows;
-    std::vector<std::vector<Value>> build_kvs;
-    std::unordered_map<uint64_t, std::vector<size_t>> table;
-    {
-      SpillReader reader;
-      ECA_RETURN_IF_ERROR(reader.Open(build_path, &sstats_));
-      uint64_t tag = 0;
-      Tuple row;
-      bool eof = false;
-      std::vector<Value> kv;
-      while (true) {
-        ECA_RETURN_IF_ERROR(reader.Next(&tag, &row, &eof));
-        if (eof) break;
-        bool valid = build_keys_.Eval(row, &kv);
-        ECA_DCHECK(valid);
-        (void)valid;
-        pending += ApproxTupleBytes(row);
-        if (pending >= (64 << 10)) {
-          ECA_RETURN_IF_ERROR(
-              part_charge.Add(pending, "grace-join build partition"));
-          pending = 0;
-        }
-        table[HashTuple(kv)].push_back(build_rows.size());
-        build_rows.push_back({tag, std::move(row)});
-        build_kvs.push_back(kv);
-        row = Tuple();
-      }
+    Relation build((build_left_ ? left_ : right_).schema());
+    std::vector<uint64_t> build_tags, tags;
+    std::vector<Tuple> strip;
+    SpillReader build_reader;
+    ECA_RETURN_IF_ERROR(build_reader.Open(build_path, &sstats_));
+    for (bool eof = false; !eof;) {
+      ECA_RETURN_IF_ERROR(
+          ReadStrip(&build_reader, tuning_.chunk_rows, &tags, &strip, &eof));
+      ECA_RETURN_IF_ERROR(part_charge.Add(ApproxRowsBytes(strip),
+                                          "grace-join build partition"));
+      build_tags.insert(build_tags.end(), tags.begin(), tags.end());
+      for (Tuple& row : strip) build.Add(std::move(row));
     }
-    ECA_RETURN_IF_ERROR(
-        part_charge.Add(pending, "grace-join build partition"));
-    if (stats_ != nullptr) {
-      stats_->hash_build_rows += static_cast<int64_t>(build_rows.size());
-    }
-
-    // Stream the probe side; nothing but the current row is resident.
-    const bool need_build = build_left_ ? !left_matched_.empty()
-                                        : !right_matched_.empty();
-    const bool need_probe = build_left_ ? !right_matched_.empty()
-                                        : !left_matched_.empty();
-    std::vector<uint8_t>& build_flags =
-        build_left_ ? left_matched_ : right_matched_;
+    HashTable table(build_keys_);
+    table.Build(build, /*pool=*/nullptr, tuning_, ctx_, stats_);
     std::vector<uint8_t>& probe_flags =
         build_left_ ? right_matched_ : left_matched_;
-    const bool emit_pairs = !OutputsOneSide(op_);
+    ProbeKernel kernel(op_, table, build, build_left_, residual_, fused_,
+                       probe_flags.empty() ? nullptr : probe_flags.data());
 
+    // Stream the probe partition one strip at a time; tags are global
+    // probe rows.
     SpillReader reader;
     ECA_RETURN_IF_ERROR(reader.Open(probe_path, &sstats_));
-    uint64_t ptag = 0;
-    Tuple prow;
-    bool eof = false;
-    std::vector<Value> kv;
-    int64_t n = 0;
-    int64_t out_pending = 0;
-    while (true) {
-      ECA_RETURN_IF_ERROR(reader.Next(&ptag, &prow, &eof));
-      if (eof) break;
-      if ((++n & 1023) == 0 && ctx_->ShouldStop()) return ctx_->StopStatus();
-      bool valid = probe_keys_.Eval(prow, &kv);
-      ECA_DCHECK(valid);
-      (void)valid;
-      auto it = table.find(HashTuple(kv));
-      if (it == table.end()) continue;
-      bool first_equal = true;
-      for (size_t bi : it->second) {
-        if (stats_ != nullptr) ++stats_->probe_comparisons;
-        const std::vector<Value>& bk = build_kvs[bi];
-        bool key_equal = kv.size() == bk.size();
-        for (size_t i = 0; key_equal && i < kv.size(); ++i) {
-          if (!kv[i].SameAs(bk[i])) key_equal = false;
-        }
-        if (!key_equal) continue;
-        // Semi/anti keeping the build side, as in the in-memory probe: a
-        // flagged first key-equal row means its whole key is flagged.
-        const bool was_first = first_equal;
-        first_equal = false;
-        uint8_t* build_flag =
-            need_build ? &build_flags[static_cast<size_t>(build_rows[bi].tag)]
-                       : nullptr;
-        if (!emit_pairs && build_flag != nullptr && *build_flag != 0) {
-          if (residual_ == nullptr && was_first) break;
-          continue;
-        }
-        const Tuple& brow = build_rows[bi].row;
-        const Tuple& lrow = build_left_ ? brow : prow;
-        const Tuple& rrow = build_left_ ? prow : brow;
-        if (residual_ != nullptr &&
-            !residual_->EvalTrue(ConcatTuples(lrow, rrow))) {
-          continue;
-        }
-        if (need_probe) probe_flags[static_cast<size_t>(ptag)] = 1;
-        if (build_flag != nullptr) *build_flag = 1;
-        // Semi/anti keeping the probe side: the first qualifying match
-        // decides the row.
-        if (!emit_pairs && need_probe) break;
-        if (emit_pairs) {
-          Tuple t = ConcatTuples(lrow, rrow);
-          // The fused chain applies per emitted row here exactly as in the
-          // in-memory probe, so escalation stays byte-identical.
-          if (fused_ != nullptr && !fused_->Apply(&t)) continue;
-          out_pending += ApproxTupleBytes(t);
-          matches_.push_back({ptag, std::move(t)});
-          if (out_pending >= (64 << 10)) {
-            ECA_RETURN_IF_ERROR(
-                out_charge_.Add(out_pending, "grace-join output"));
-            out_pending = 0;
-          }
+    KeyChunkSet pk = probe_keys_;
+    std::vector<Tuple> emitted;
+    int64_t touches = 0;
+    for (bool eof = false; !eof;) {
+      if (ctx_->ShouldStop()) return ctx_->StopStatus();
+      ECA_RETURN_IF_ERROR(
+          ReadStrip(&reader, tuning_.chunk_rows, &tags, &strip, &eof));
+      const int64_t n = static_cast<int64_t>(strip.size());
+      pk.Reset(n);
+      int64_t out_bytes = 0;
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        pk.ExtractRow(i, strip[si]);
+        ECA_DCHECK(pk.ValidAt(i));  // NULL-key rows were never spilled
+        emitted.clear();
+        kernel.Probe(pk, i, strip[si], static_cast<size_t>(tags[si]),
+                     &emitted, &touches);
+        for (Tuple& t : emitted) {
+          out_bytes += ApproxTupleBytes(t);
+          matches_.push_back({tags[si], std::move(t)});
         }
       }
+      ECA_RETURN_IF_ERROR(out_charge_.Add(out_bytes, "grace-join output"));
     }
-    return out_charge_.Add(out_pending, "grace-join output");
+    if (stats_ != nullptr) stats_->probe_comparisons += touches;
+    std::vector<uint8_t>& build_flags =
+        build_left_ ? left_matched_ : right_matched_;
+    const std::vector<uint8_t> matched = kernel.BuildMatched();
+    for (size_t r = 0; r < matched.size(); ++r) {
+      if (matched[r] != 0) build_flags[static_cast<size_t>(build_tags[r])] = 1;
+    }
+    return Status::OK();
   }
 
   const JoinOp op_;
   const JoinShape& shape_;
-  const KeyEvaluator& build_keys_;
-  const KeyEvaluator& probe_keys_;
+  const KeyChunkSet& build_keys_;
+  const KeyChunkSet& probe_keys_;
   const bool build_left_;
   const CompiledPredicate* residual_;
   const FusedCompChain* fused_;
   const Relation& left_;
   const Relation& right_;
-  const Relation& build_;
-  const Relation& probe_;
+  const ExecTuning tuning_;
   QueryContext* ctx_;
   ExecStats* stats_;
   SpillDir dir_;
@@ -747,42 +840,30 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
                   const FusedCompChain* fused) {
   JoinShape shape = MakeShape(op, left, right);
 
-  // Build on the smaller input where the operator allows it. Inner, semi
-  // and anti joins track matches through side-indexed flags, so either
-  // side can host the table; the outer variants keep the historical
-  // build-right shape (their padding phase reads the flags either way,
-  // but a stable choice keeps plans' observable row order predictable).
-  bool build_left = false;
-  switch (op) {
-    case JoinOp::kInner:
-    case JoinOp::kLeftSemi:
-    case JoinOp::kRightSemi:
-    case JoinOp::kLeftAnti:
-    case JoinOp::kRightAnti:
-      build_left = left.NumRows() < right.NumRows();
-      break;
-    default:
-      break;
-  }
+  // Every op builds on its smaller input: matched flags are side-indexed
+  // and FinishJoinOutput pads from them, so either side can host the table.
+  const bool build_left = left.NumRows() < right.NumRows();
   const Relation& build = build_left ? left : right;
   const Relation& probe = build_left ? right : left;
-
-  KeyEvaluator lkeys, rkeys;
-  std::vector<ScalarRef> lexprs, rexprs;
+  // Both columns of one equi-key share a tag.
+  std::vector<KeyColumn::Tag> tags;
+  std::vector<ScalarRef> build_exprs, probe_exprs;
   for (const EquiKey& k : keys) {
-    lexprs.push_back(k.left_expr);
-    rexprs.push_back(k.right_expr);
+    build_exprs.push_back(build_left ? k.left_expr : k.right_expr);
+    probe_exprs.push_back(build_left ? k.right_expr : k.left_expr);
+    tags.push_back(KeyColumn::TagFor(build_exprs.back(), build.schema(),
+                                     probe_exprs.back(), probe.schema()));
   }
-  lkeys.Bind(std::move(lexprs), left.schema());
-  rkeys.Bind(std::move(rexprs), right.schema());
-  const KeyEvaluator& build_keys = build_left ? lkeys : rkeys;
-  const KeyEvaluator& probe_keys = build_left ? rkeys : lkeys;
+  KeyChunkSet build_keys, probe_keys;
+  build_keys.Bind(tags, std::move(build_exprs), build.schema());
+  probe_keys.Bind(tags, std::move(probe_exprs), probe.schema());
 
   CompiledPredicate compiled_residual;
-  bool have_residual = residual != nullptr;
-  if (have_residual) {
+  if (residual != nullptr) {
     compiled_residual = CompiledPredicate(residual, shape.concat_schema);
   }
+  const CompiledPredicate* residual_ptr =
+      residual != nullptr ? &compiled_residual : nullptr;
 
   // Governed runs: estimate the in-memory build index (key copies, hashes,
   // bucket entries ride on top of the row bytes). Past the soft threshold,
@@ -798,8 +879,8 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
       Tracer::Instant("governor/spill-escalate", "hash-join");
       TraceSpan grace_span("join/grace");
       GraceHashJoin grace(op, shape, build_keys, probe_keys, build_left,
-                          have_residual ? &compiled_residual : nullptr, fused,
-                          left, right, ctx, stats);
+                          residual_ptr, fused, left, right, tuning, ctx,
+                          stats);
       Relation out(shape.out_schema);
       Status s = grace.Run(&out);
       if (!s.ok()) {
@@ -815,146 +896,52 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
     }
   }
 
-  // Shared key-pair tags; bound column indexes come from the evaluators.
-  std::vector<KeyColumn::Tag> tags;
-  tags.reserve(keys.size());
-  for (const EquiKey& k : keys) {
-    const ScalarRef& be = build_left ? k.left_expr : k.right_expr;
-    const ScalarRef& pe = build_left ? k.right_expr : k.left_expr;
-    tags.push_back(
-        KeyColumn::TagFor(be, build.schema(), pe, probe.schema()));
-  }
-
-  JoinTable table;
-  BuildJoinTable(build, build_keys.col_fastpath, build_keys.exprs, tags, pool,
-                 tuning, ctx, stats, &table);
-
-  // Matched flags. Probe-side flags are written by exactly one morsel per
-  // row (morsels are disjoint), so plain bytes suffice; build-side rows
-  // can match concurrently in several probe morsels, so those flags are
-  // relaxed atomics (all writers store 1 — order is irrelevant).
-  const bool need_left = NeedsLeftFlags(op);
-  const bool need_right = NeedsRightFlags(op);
-  const bool need_build = build_left ? need_left : need_right;
-  const bool need_probe = build_left ? need_right : need_left;
-  const bool emit_pairs = !OutputsOneSide(op);
+  HashTable table(build_keys);
+  table.Build(build, pool, tuning, ctx, stats);
+  const bool need_probe =
+      build_left ? NeedsRightFlags(op) : NeedsLeftFlags(op);
   std::vector<uint8_t> probe_matched(
       need_probe ? static_cast<size_t>(probe.NumRows()) : 0, 0);
-  std::vector<std::atomic<uint8_t>> build_matched(
-      need_build ? static_cast<size_t>(build.NumRows()) : 0);
-  for (auto& f : build_matched) f.store(0, std::memory_order_relaxed);
+  ProbeKernel kernel(op, table, build, build_left, residual_ptr, fused,
+                     need_probe ? probe_matched.data() : nullptr);
 
   const int64_t pn = probe.NumRows();
   MorselCursor cursor(pn, tuning.morsel_rows);
   const size_t num_morsels = static_cast<size_t>(cursor.num_morsels());
-  std::vector<std::vector<Tuple>> morsel_out(emit_pairs ? num_morsels : 0);
-  std::vector<int64_t> morsel_comparisons(num_morsels, 0);
+  std::vector<std::vector<Tuple>> morsel_out(num_morsels);
+  std::vector<int64_t> morsel_touches(num_morsels, 0);
 
   auto probe_worker = [&](int) {
-    KeyChunkSet pk;                 // per-worker columnar key scratch
-    std::vector<int64_t> matches;   // build rows matching one probe row
+    KeyChunkSet pk = probe_keys;  // per-worker columnar key scratch
     // Per-worker governor charge for buffered output (scratch; the
     // executor re-charges the merged relation as node output). A failed
     // charge records the error and every worker sees ShouldStop() at its
     // next morsel boundary.
     ExecCharge out_charge(ctx);
-    int64_t pending = 0;
     int64_t begin, end, morsel;
     while (cursor.Next(&begin, &end, &morsel)) {
-      if (ctx != nullptr) {
-        if (ctx->ShouldStop()) return;
-        if (pending >= (64 << 10)) {
-          Status s = out_charge.Add(pending, "hash-join output");
-          pending = 0;
-          if (!s.ok()) {
-            ctx->RecordError(std::move(s));
-            return;
-          }
-        }
-      }
-      std::vector<Tuple>* out =
-          emit_pairs ? &morsel_out[static_cast<size_t>(morsel)] : nullptr;
-      int64_t comparisons = 0;
+      if (ctx != nullptr && ctx->ShouldStop()) return;
+      std::vector<Tuple>& out = morsel_out[static_cast<size_t>(morsel)];
+      int64_t touches = 0;
       for (int64_t cb = begin; cb < end; cb += tuning.chunk_rows) {
-        const int64_t ce = std::min(cb + tuning.chunk_rows, end);
-        const int64_t cn = ce - cb;
-        pk.Reset(tags, cn);
+        const int64_t cn = std::min(cb + tuning.chunk_rows, end) - cb;
+        pk.Reset(cn);
         for (int64_t i = 0; i < cn; ++i) {
-          pk.ExtractRow(i, probe.rows()[static_cast<size_t>(cb + i)],
-                        probe_keys.col_fastpath, probe_keys.exprs,
-                        probe.schema());
-        }
-        for (int64_t i = 0; i < cn; ++i) {
-          if (!pk.ValidAt(i)) continue;
-          const uint64_t h = pk.hashes[static_cast<size_t>(i)];
-          const int64_t pi = cb + i;
-          const Tuple& prow = probe.rows()[static_cast<size_t>(pi)];
-          auto qualifies = [&](int64_t bi) {
-            if (!have_residual) return true;
-            const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
-            return compiled_residual.EvalTrue(build_left
-                                                  ? ConcatTuples(brow, prow)
-                                                  : ConcatTuples(prow, brow));
-          };
-          uint64_t idx = h & table.mask;
-          matches.clear();
-          bool first_equal = true;
-          for (;;) {
-            int64_t br = table.slots[idx].load(std::memory_order_acquire);
-            if (br < 0) break;
-            idx = (idx + 1) & table.mask;
-            if (table.keys.hashes[static_cast<size_t>(br)] != h) continue;
-            ++comparisons;
-            if (!table.keys.RowEqual(br, pk, i)) continue;
-            if (emit_pairs) {
-              matches.push_back(br);
-            } else if (need_probe) {
-              // Semi/anti keeping the probe side: the first qualifying
-              // match decides the row.
-              if (qualifies(br)) {
-                probe_matched[static_cast<size_t>(pi)] = 1;
-                break;
-              }
-            } else {
-              // Semi/anti keeping the build side. Without a residual every
-              // key-equal build row is flagged by the first probe row of
-              // its key, which flags the chain's first key-equal row first.
-              std::atomic<uint8_t>& flag =
-                  build_matched[static_cast<size_t>(br)];
-              if (flag.load(std::memory_order_relaxed) != 0) {
-                if (!have_residual && first_equal) break;
-              } else if (qualifies(br)) {
-                flag.store(1, std::memory_order_relaxed);
-              }
-              first_equal = false;
-            }
-          }
-          if (!emit_pairs) continue;
-          // CAS insertion order is nondeterministic; ascending build-row
-          // order per probe row restores the row engine's emit order.
-          if (matches.size() > 1) std::sort(matches.begin(), matches.end());
-          for (int64_t bi : matches) {
-            if (!qualifies(bi)) continue;
-            if (need_probe) probe_matched[static_cast<size_t>(pi)] = 1;
-            if (need_build) {
-              build_matched[static_cast<size_t>(bi)].store(
-                  1, std::memory_order_relaxed);
-            }
-            const Tuple& brow = build.rows()[static_cast<size_t>(bi)];
-            Tuple t = build_left ? ConcatTuples(brow, prow)
-                                 : ConcatTuples(prow, brow);
-            if (fused == nullptr || fused->Apply(&t)) {
-              if (ctx != nullptr) pending += ApproxTupleBytes(t);
-              out->push_back(std::move(t));
-            }
+          const size_t pi = static_cast<size_t>(cb + i);
+          pk.ExtractRow(i, probe.rows()[pi]);
+          if (pk.ValidAt(i)) {
+            kernel.Probe(pk, i, probe.rows()[pi], pi, &out, &touches);
           }
         }
       }
-      morsel_comparisons[static_cast<size_t>(morsel)] = comparisons;
-    }
-    if (ctx != nullptr && pending > 0) {
-      Status s = out_charge.Add(pending, "hash-join output");
-      if (!s.ok()) ctx->RecordError(std::move(s));
+      morsel_touches[static_cast<size_t>(morsel)] = touches;
+      if (ctx != nullptr) {
+        Status s = out_charge.Add(ApproxRowsBytes(out), "hash-join output");
+        if (!s.ok()) {
+          ctx->RecordError(std::move(s));
+          return;
+        }
+      }
     }
   };
   {
@@ -968,35 +955,22 @@ Relation HashJoin(JoinOp op, const std::vector<EquiKey>& keys,
       probe_worker(0);
     }
   }
-
   if (stats != nullptr) {
-    for (int64_t comparisons : morsel_comparisons) {
-      stats->probe_comparisons += comparisons;
-    }
+    for (int64_t touches : morsel_touches) stats->probe_comparisons += touches;
   }
 
   // Morsel-ordered merge, then the sequential padding/side phase.
   Relation out(shape.out_schema);
-  if (emit_pairs) {
-    size_t total = 0;
-    for (const auto& part : morsel_out) total += part.size();
-    out.mutable_rows().reserve(total);
-    for (auto& part : morsel_out) {
-      for (Tuple& t : part) out.Add(std::move(t));
-    }
+  size_t total = 0;
+  for (const auto& part : morsel_out) total += part.size();
+  out.mutable_rows().reserve(total);
+  for (auto& part : morsel_out) {
+    for (Tuple& t : part) out.Add(std::move(t));
   }
-  std::vector<uint8_t> left_matched(
-      need_left ? static_cast<size_t>(left.NumRows()) : 0, 0);
-  std::vector<uint8_t> right_matched(
-      need_right ? static_cast<size_t>(right.NumRows()) : 0, 0);
-  std::vector<uint8_t>& build_out = build_left ? left_matched : right_matched;
-  std::vector<uint8_t>& probe_out = build_left ? right_matched : left_matched;
-  for (size_t i = 0; i < build_matched.size(); ++i) {
-    build_out[i] = build_matched[i].load(std::memory_order_relaxed);
-  }
-  if (need_probe) probe_out = std::move(probe_matched);
-  FinishJoinOutput(op, shape, left, right, left_matched, right_matched, fused,
-                   &out);
+  const std::vector<uint8_t> build_matched = kernel.BuildMatched();
+  FinishJoinOutput(op, shape, left, right,
+                   build_left ? build_matched : probe_matched,
+                   build_left ? probe_matched : build_matched, fused, &out);
   return out;
 }
 

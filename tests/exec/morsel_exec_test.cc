@@ -208,9 +208,9 @@ TEST(MorselEdgeTest, SpillPathByteIdenticalAcrossTunings) {
 
 // --- Build-row accounting --------------------------------------------------
 
-// hash_build_rows sums per-worker insert counts; with 7-row morsels every
-// worker inserts from many morsels, and the sum must still be exactly the
-// build side's non-NULL-key rows at every thread count.
+// hash_build_rows counts the rows the table lays out; with 7-row morsels
+// every worker claims keys from many morsels, and the count must still be
+// exactly the build side's non-NULL-key rows at every thread count.
 TEST(BuildStatTest, HashBuildRowsSumsEveryWorkersMorsels) {
   Relation left = SmallRel(0, 31, 200, 0.1);
   Relation right = SmallRel(1, 37, 150, 0.1);  // the smaller build side

@@ -181,9 +181,9 @@ TEST(ParallelExecutorGolden, CompensatedPlanByteIdentical) {
   }
 }
 
-// The hash join must build its table on the smaller input for inner/semi/
-// anti joins (the historical build-on-right choice costs O(|bigger|) memory
-// for nothing), while outer variants keep their side.
+// The hash join builds its table on the smaller input for every join op
+// (matched flags are side-indexed, so either side can host the table), in
+// both argument orders.
 TEST(ParallelExecutor, BuildsHashTableOnSmallerSide) {
   RandomDataOptions opts;
   opts.null_prob = 0;  // non-NULL keys so build counts are exact
@@ -198,7 +198,8 @@ TEST(ParallelExecutor, BuildsHashTableOnSmallerSide) {
   PredRef pred = EquiJoin(0, "k", 1, "k", "p01");
 
   for (JoinOp op : {JoinOp::kInner, JoinOp::kLeftSemi, JoinOp::kRightSemi,
-                    JoinOp::kLeftAnti, JoinOp::kRightAnti}) {
+                    JoinOp::kLeftAnti, JoinOp::kRightAnti, JoinOp::kLeftOuter,
+                    JoinOp::kRightOuter, JoinOp::kFullOuter}) {
     ExecStats stats;
     EvalJoin(op, pred, small, big, Executor::JoinPreference::kHash, &stats);
     EXPECT_EQ(stats.hash_build_rows, 3) << JoinOpName(op) << " small-left";
@@ -206,16 +207,6 @@ TEST(ParallelExecutor, BuildsHashTableOnSmallerSide) {
     EvalJoin(op, pred, big, small, Executor::JoinPreference::kHash, &stats);
     EXPECT_EQ(stats.hash_build_rows, 3) << JoinOpName(op) << " small-right";
   }
-  // Outer joins keep the historical build-on-right regardless of size:
-  // their padding logic is side-specific.
-  ExecStats stats;
-  EvalJoin(JoinOp::kLeftOuter, pred, big, small,
-           Executor::JoinPreference::kHash, &stats);
-  EXPECT_EQ(stats.hash_build_rows, 3);
-  stats.Reset();
-  EvalJoin(JoinOp::kLeftOuter, pred, small, big,
-           Executor::JoinPreference::kHash, &stats);
-  EXPECT_EQ(stats.hash_build_rows, 80);
 }
 
 TEST(ParallelExecutor, RecordsHashBuildRows) {
